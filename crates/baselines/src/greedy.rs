@@ -10,6 +10,8 @@ use sim_core::time::{SimDuration, SimTime};
 
 use netsim::ids::FlowId;
 use netsim::logic::{Ctx, LogicReport, RouterLogic, TimerKind};
+use netsim::pacer::{Chain, Pacer};
+use netsim::slab::DenseMap;
 
 const TIMER_EMIT: u32 = 1;
 
@@ -19,8 +21,12 @@ const TIMER_EMIT: u32 = 1;
 pub struct GreedySource {
     /// Offered rate per flow id, packets per second; flows not listed use
     /// `default_rate`.
-    rates: netsim::slab::DenseMap<FlowId, f64>,
+    rates: DenseMap<FlowId, f64>,
     default_rate: f64,
+    /// Per-slot emission chains; a restart or a recycled slot's new
+    /// occupant starts a fresh one.
+    chains: DenseMap<FlowId, Chain>,
+    pacer: Pacer<FlowId>,
     emitted: u64,
 }
 
@@ -34,8 +40,10 @@ impl GreedySource {
     pub fn new(default_rate: f64) -> Self {
         assert!(default_rate > 0.0, "offered rate must be positive");
         GreedySource {
-            rates: netsim::slab::DenseMap::new(),
+            rates: DenseMap::new(),
             default_rate,
+            chains: DenseMap::new(),
+            pacer: Pacer::new(TIMER_EMIT),
             emitted: 0,
         }
     }
@@ -58,27 +66,35 @@ impl GreedySource {
 
 impl RouterLogic for GreedySource {
     fn on_flow_start(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        ctx.set_timer(
-            SimDuration::ZERO,
-            TimerKind::with_param(TIMER_EMIT, flow.index() as u64),
-        );
+        self.pacer.start(flow);
+        let chain = self.chains.entry_or_insert_with(flow, Chain::default);
+        // The first packet leaves at once.
+        self.pacer.arm(ctx, flow, chain, SimDuration::ZERO);
+    }
+
+    fn on_flow_stop(&mut self, _ctx: &mut Ctx<'_>, flow: FlowId) {
+        self.pacer.stop(flow);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
         if timer.tag != TIMER_EMIT {
             return;
         }
-        let flow = FlowId::from_index(timer.param as usize);
+        let Some(flow) = self.pacer.fire_flow(ctx, timer) else {
+            return;
+        };
+        let rate = self.rate_of(flow);
+        let Some(chain) = self.chains.get_mut(&flow) else {
+            return;
+        };
+        chain.fired();
         if !ctx.flow(flow).is_active_at(ctx.now()) {
             return;
         }
         let packet = ctx.new_packet(flow);
         ctx.emit(packet);
         self.emitted += 1;
-        ctx.set_timer(
-            SimDuration::from_secs_f64(1.0 / self.rate_of(flow)),
-            TimerKind::with_param(TIMER_EMIT, flow.index() as u64),
-        );
+        self.pacer.pace(ctx, flow, chain, rate);
     }
 
     fn report(&self, _now: SimTime) -> LogicReport {

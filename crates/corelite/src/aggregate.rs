@@ -13,12 +13,13 @@
 //! lives only at the edge, and even there it is per *aggregate*, not per
 //! TCP connection.
 
-use sim_core::time::{SimDuration, SimTime};
+use sim_core::time::SimTime;
 
 use netsim::ids::{FlowId, NodeId};
 use netsim::logic::{ControlMsg, Ctx, LogicReport, RouterLogic, TimerKind};
+use netsim::pacer::{Chain, Pacer};
 use netsim::packet::Marker;
-use netsim::slab::{ActiveSet, DenseMap};
+use netsim::slab::DenseMap;
 
 use crate::config::CoreliteConfig;
 use crate::controller::RateController;
@@ -32,7 +33,7 @@ struct Group {
     /// Currently active member micro-flows, emission round-robin order.
     members: Vec<FlowId>,
     next_member: usize,
-    emission_pending: bool,
+    chain: Chain,
 }
 
 /// Router logic for an ingress edge that aggregates all micro-flows
@@ -44,10 +45,12 @@ pub struct AggregatingEdge {
     group_weight: u32,
     /// One group per egress edge router.
     groups: DenseMap<NodeId, Group>,
-    /// Groups that currently have members; the epoch scan walks this
-    /// instead of every group slot ever created, so churn across many
-    /// egresses keeps the tick O(populated groups).
-    populated: ActiveSet<NodeId>,
+    /// One emission chain per egress, and the groups that currently
+    /// have members: the epoch scan walks those instead of every group
+    /// slot ever created, so churn across many egresses keeps the tick
+    /// O(populated groups). A group that empties and refills starts a
+    /// fresh chain.
+    pacer: Pacer<NodeId>,
     flow_group: DenseMap<FlowId, NodeId>,
     markers_injected: u64,
     #[allow(dead_code)]
@@ -70,7 +73,7 @@ impl AggregatingEdge {
             cfg,
             group_weight,
             groups: DenseMap::new(),
-            populated: ActiveSet::new(),
+            pacer: Pacer::new(TIMER_EMIT),
             flow_group: DenseMap::new(),
             markers_injected: 0,
             seed,
@@ -79,21 +82,21 @@ impl AggregatingEdge {
 
     fn ensure_emission(&mut self, ctx: &mut Ctx<'_>, egress: NodeId) {
         let g = self.groups.get_mut(&egress).expect("group exists");
-        if !g.emission_pending && !g.members.is_empty() && g.controller.rate() > 0.0 {
-            g.emission_pending = true;
-            ctx.set_timer(
-                SimDuration::from_secs_f64(1.0 / g.controller.rate()),
-                TimerKind::with_param(TIMER_EMIT, egress.index() as u64),
-            );
+        if !g.members.is_empty() && g.controller.rate() > 0.0 {
+            self.pacer
+                .pace(ctx, egress, &mut g.chain, g.controller.rate());
         }
     }
 
-    fn handle_emit(&mut self, ctx: &mut Ctx<'_>, egress: NodeId) {
+    fn handle_emit(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
+        let Some(egress) = self.pacer.fire(timer) else {
+            return;
+        };
         let node = ctx.node();
         let Some(g) = self.groups.get_mut(&egress) else {
             return;
         };
-        g.emission_pending = false;
+        g.chain.fired();
         if g.members.is_empty() || g.controller.rate() <= 0.0 {
             return;
         }
@@ -111,12 +114,8 @@ impl AggregatingEdge {
             self.markers_injected += 1;
         }
         ctx.emit(packet);
-        let g = self.groups.get_mut(&egress).expect("group exists");
-        g.emission_pending = true;
-        ctx.set_timer(
-            SimDuration::from_secs_f64(1.0 / g.controller.rate()),
-            TimerKind::with_param(TIMER_EMIT, egress.index() as u64),
-        );
+        self.pacer
+            .pace(ctx, egress, &mut g.chain, g.controller.rate());
     }
 }
 
@@ -135,16 +134,17 @@ impl RouterLogic for AggregatingEdge {
             controller: RateController::new(weight, 0.0, rtt),
             members: Vec::new(),
             next_member: 0,
-            emission_pending: false,
+            chain: Chain::default(),
         });
         if g.members.is_empty() {
-            // First member (re)activates the aggregate: fresh slow-start.
+            // First member (re)activates the aggregate: fresh slow-start
+            // and a fresh emission chain.
             g.controller.start(cfg, now, rtt);
+            self.pacer.start(egress);
         }
         if !g.members.contains(&flow) {
             g.members.push(flow);
         }
-        self.populated.insert(egress);
         self.flow_group.insert(flow, egress);
         self.ensure_emission(ctx, egress);
     }
@@ -162,11 +162,10 @@ impl RouterLogic for AggregatingEdge {
         let g = self.groups.get_mut(&egress).expect("group exists");
         g.members.retain(|&f| f != flow);
         if g.members.is_empty() {
-            // Last member gone: the aggregate itself stops. It stays in
-            // `populated` deliberately: the controller records its stop
-            // sample on the next epoch tick exactly as the full scan
-            // did, and the set is bounded by the number of egresses.
+            // Last member gone: the aggregate itself stops, and so does
+            // its emission chain.
             g.controller.stop(ctx.now());
+            self.pacer.stop(egress);
         }
     }
 
@@ -177,9 +176,9 @@ impl RouterLogic for AggregatingEdge {
                 // Populated-group scan in ascending slot order (the
                 // same visit order as the full scan this replaces);
                 // member-less groups' controllers are inactive, so
-                // `epoch_update` was a no-op for them anyway.
-                for pos in 0..self.populated.len() {
-                    let egress = self.populated.get(pos);
+                // `epoch_update` is a no-op for them anyway.
+                for pos in 0..self.pacer.active().len() {
+                    let egress = self.pacer.active().get(pos);
                     let Some(g) = self.groups.get_mut(&egress) else {
                         continue;
                     };
@@ -188,7 +187,7 @@ impl RouterLogic for AggregatingEdge {
                 }
                 ctx.set_timer(self.cfg.edge_epoch, TimerKind::tagged(TIMER_EPOCH));
             }
-            TIMER_EMIT => self.handle_emit(ctx, NodeId::from_index(timer.param as usize)),
+            TIMER_EMIT => self.handle_emit(ctx, timer),
             _ => {}
         }
     }
@@ -236,6 +235,7 @@ mod tests {
     use netsim::logic::ForwardLogic;
     use netsim::topology::TopologyBuilder;
     use netsim::{FlowId, SimReport};
+    use sim_core::time::SimDuration;
 
     /// Edge A aggregates `micro` micro-flows (group weight 1); edge B
     /// runs one plain flow of weight 1. Both share a 500 pkt/s link.

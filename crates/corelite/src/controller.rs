@@ -13,8 +13,10 @@
 use sim_core::stats::TimeSeries;
 use sim_core::time::SimTime;
 
-use netsim::ids::NodeId;
+use netsim::ids::{FlowId, NodeId};
+use netsim::logic::Ctx;
 use netsim::slab::DenseMap;
+use netsim::telemetry::Sample;
 
 use crate::config::{AdaptationScheme, CoreliteConfig, DecreasePolicy};
 
@@ -266,6 +268,25 @@ impl RateController {
         }
         self.feedback.clear();
         self.record(now);
+    }
+
+    /// One edge adaptation epoch for `flow`, with its telemetry: `m(f)`
+    /// is published before [`epoch_update`](RateController::epoch_update)
+    /// consumes the per-core counts, then the new `b_g` and slow-start
+    /// flag. Inactive controllers publish nothing.
+    pub fn epoch_tick(&mut self, cfg: &CoreliteConfig, ctx: &Ctx<'_>, flow: FlowId) {
+        if self.active {
+            ctx.publish(Sample::for_flow("m_f", flow, self.feedback_max() as f64));
+        }
+        self.epoch_update(cfg, ctx.now());
+        if self.active {
+            ctx.publish(Sample::for_flow("b_g", flow, self.rate));
+            ctx.publish(Sample::for_flow(
+                "slow_start",
+                flow,
+                f64::from(self.in_slow_start()),
+            ));
+        }
     }
 
     fn ss_thresh(&self, cfg: &CoreliteConfig) -> f64 {

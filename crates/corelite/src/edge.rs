@@ -21,13 +21,13 @@
 //! Packet losses (CSFQ's feedback signal) are counted but deliberately
 //! ignored: *"edges react only to congestion indications"* (§4.3).
 
-use sim_core::time::{SimDuration, SimTime};
+use sim_core::time::SimTime;
 
 use netsim::ids::FlowId;
 use netsim::logic::{ControlMsg, Ctx, LogicReport, RouterLogic, TimerKind};
+use netsim::pacer::{Chain, Pacer};
 use netsim::packet::Marker;
-use netsim::slab::{ActiveSet, DenseMap};
-use netsim::telemetry::Sample;
+use netsim::slab::DenseMap;
 
 use crate::config::CoreliteConfig;
 use crate::controller::RateController;
@@ -38,30 +38,15 @@ const TIMER_EMIT: u32 = 2;
 #[derive(Debug)]
 struct FlowState {
     controller: RateController,
-    /// True while an emission timer is outstanding.
-    emission_pending: bool,
-    /// One-entry memo of `1 / rate` as a duration: the controller's
-    /// rate only changes on epoch boundaries and feedback, while the
-    /// conversion runs once per emitted packet. Bit-identical on hits.
-    gap_cache: (f64, SimDuration),
+    chain: Chain,
 }
 
 impl FlowState {
     fn new(controller: RateController) -> Self {
         FlowState {
             controller,
-            emission_pending: false,
-            gap_cache: (0.0, SimDuration::ZERO),
+            chain: Chain::default(),
         }
-    }
-
-    /// Inter-packet gap at the controller's current rate.
-    fn gap(&mut self) -> SimDuration {
-        let rate = self.controller.rate();
-        if self.gap_cache.0 != rate {
-            self.gap_cache = (rate, SimDuration::from_secs_f64(1.0 / rate));
-        }
-        self.gap_cache.1
     }
 }
 
@@ -79,16 +64,8 @@ pub struct CoreliteEdge {
     /// integers, so direct indexing beats a map lookup on the
     /// per-packet path.
     flows: DenseMap<FlowId, FlowState>,
-    /// Flows currently started at this edge. Epoch scans walk this
-    /// instead of every slot ever occupied, so an epoch costs O(active)
-    /// rather than O(all flows ever) under churn.
-    active: ActiveSet<FlowId>,
-    /// Per-slot emission-chain epoch. Each `on_flow_start`/`on_flow_stop`
-    /// bumps the slot's epoch, and emission timers carry the epoch they
-    /// were armed under — so a timer from a previous activation (or a
-    /// recycled slot's previous occupant) is recognized as stale and
-    /// dropped instead of feeding a chain it no longer owns.
-    emission_epochs: Vec<u32>,
+    /// Emission chains and the started flows the epoch walks.
+    pacer: Pacer<FlowId>,
     markers_injected: u64,
     feedback_received: u64,
     losses_ignored: u64,
@@ -108,8 +85,7 @@ impl CoreliteEdge {
         CoreliteEdge {
             cfg,
             flows: DenseMap::new(),
-            active: ActiveSet::new(),
-            emission_epochs: Vec::new(),
+            pacer: Pacer::new(TIMER_EMIT),
             markers_injected: 0,
             feedback_received: 0,
             losses_ignored: 0,
@@ -120,65 +96,26 @@ impl CoreliteEdge {
     /// The allowed rate `b_g(f)` the edge currently enforces for `flow`,
     /// or `None` if the flow has never started here.
     pub fn allowed_rate(&self, flow: FlowId) -> Option<f64> {
-        self.state(flow).map(|s| s.controller.rate())
-    }
-
-    fn state(&self, flow: FlowId) -> Option<&FlowState> {
-        self.flows.get(&flow)
-    }
-
-    fn state_mut(&mut self, flow: FlowId) -> Option<&mut FlowState> {
-        self.flows.get_mut(&flow)
-    }
-
-    /// Invalidates any outstanding emission chain for `flow`'s slot and
-    /// returns the new epoch for arming a fresh one.
-    fn bump_epoch(&mut self, flow: FlowId) -> u32 {
-        let idx = flow.index();
-        if idx >= self.emission_epochs.len() {
-            self.emission_epochs.resize(idx + 1, 0);
-        }
-        self.emission_epochs[idx] = self.emission_epochs[idx].wrapping_add(1);
-        self.emission_epochs[idx]
-    }
-
-    /// The timer parameter for `flow`'s current emission chain: epoch in
-    /// the high 32 bits, slot index in the low 32.
-    fn emit_param(&self, flow: FlowId) -> u64 {
-        let epoch = self.emission_epochs[flow.index()];
-        ((epoch as u64) << 32) | flow.index() as u64
+        self.flows.get(&flow).map(|s| s.controller.rate())
     }
 
     fn ensure_emission(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        let param = self.emit_param(flow);
-        let s = self.state_mut(flow).expect("flow state exists");
-        if s.controller.is_active() && s.controller.rate() > 0.0 && !s.emission_pending {
-            s.emission_pending = true;
-            let gap = s.gap();
-            ctx.set_timer(gap, TimerKind::with_param(TIMER_EMIT, param));
+        let s = self.flows.get_mut(&flow).expect("flow state exists");
+        if s.controller.is_active() && s.controller.rate() > 0.0 {
+            self.pacer
+                .pace(ctx, flow, &mut s.chain, s.controller.rate());
         }
     }
 
-    fn handle_emit(&mut self, ctx: &mut Ctx<'_>, param: u64) {
-        let idx = param as u32 as usize;
-        let epoch = (param >> 32) as u32;
-        // A chain armed under an older epoch belongs to a finished
-        // activation (or a recycled slot's previous occupant): it must
-        // not emit or re-arm on behalf of the current one.
-        if self.emission_epochs.get(idx) != Some(&epoch) {
+    fn handle_emit(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
+        let Some(flow) = self.pacer.fire_flow(ctx, timer) else {
             return;
-        }
-        // The epoch matched, so the slot's current occupant armed this
-        // chain; resolve the occupant's full id (generation included)
-        // so emitted packets are attributed to it.
-        let flow = ctx.flow(FlowId::from_index(idx)).id;
+        };
         let node = ctx.node();
-        // Split borrow: `s` holds `self.flows` while the counter and
-        // config fields stay independently accessible.
         let Some(s) = self.flows.get_mut(&flow) else {
             return;
         };
-        s.emission_pending = false;
+        s.chain.fired();
         if !s.controller.is_active() || s.controller.rate() <= 0.0 {
             return;
         }
@@ -192,9 +129,8 @@ impl CoreliteEdge {
             self.markers_injected += 1;
         }
         ctx.emit(packet);
-        s.emission_pending = true;
-        let gap = s.gap();
-        ctx.set_timer(gap, TimerKind::with_param(TIMER_EMIT, param));
+        self.pacer
+            .pace(ctx, flow, &mut s.chain, s.controller.rate());
     }
 }
 
@@ -208,10 +144,7 @@ impl RouterLogic for CoreliteEdge {
         let info = ctx.flow(flow);
         let (weight, min_rate, transient) = (info.weight, info.min_rate, info.is_transient());
         let rtt = 2.0 * ctx.one_way_delay(flow).as_secs_f64();
-        // Any chain left over from a previous activation (or a recycled
-        // slot's previous occupant) is dead as of this start.
-        self.bump_epoch(flow);
-        self.active.insert(flow);
+        self.pacer.start(flow);
         if transient {
             // A recycled slot may still hold the previous occupant's
             // state if its stop was swallowed (e.g. by a pause): churn
@@ -226,65 +159,42 @@ impl RouterLogic for CoreliteEdge {
         });
         // A restarting flow begins a fresh slow-start, like a new arrival.
         s.controller.start(&self.cfg, now, rtt);
-        s.emission_pending = false;
         self.ensure_emission(ctx, flow);
     }
 
     fn on_flow_stop(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
         let now = ctx.now();
-        // Kill the outstanding emission chain: a pending `TIMER_EMIT`
-        // must not survive the stop and leak into a later activation.
-        self.bump_epoch(flow);
-        self.active.remove(flow);
+        self.pacer.stop(flow);
         if ctx.flow(flow).is_transient() {
             // Departed churn flows never restart; drop their state so
             // edge memory tracks the active set, not total arrivals.
             self.flows.remove(&flow);
-        } else if let Some(s) = self.state_mut(flow) {
+        } else if let Some(s) = self.flows.get_mut(&flow) {
             s.controller.stop(now);
-            s.emission_pending = false;
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
         match timer.tag {
             TIMER_EPOCH => {
-                let now = ctx.now();
                 // Walk only the started flows (position-indexed so the
                 // body can borrow `self` mutably). Ascending slot order
                 // matches the full scan this replaces, and skipped
                 // flows are observably identical: `epoch_update` is a
                 // no-op for inactive controllers and their samples were
                 // never published.
-                for pos in 0..self.active.len() {
+                for pos in 0..self.pacer.active().len() {
                     // The occupant's full id (membership is per slot).
-                    let flow = ctx.flow(self.active.get(pos)).id;
+                    let flow = ctx.flow(self.pacer.active().get(pos)).id;
                     let Some(s) = self.flows.get_mut(&flow) else {
                         continue;
                     };
-                    if s.controller.is_active() {
-                        // m(f) must be read before the epoch update
-                        // consumes the per-core counts.
-                        ctx.publish(Sample::for_flow(
-                            "m_f",
-                            flow,
-                            s.controller.feedback_max() as f64,
-                        ));
-                    }
-                    s.controller.epoch_update(&self.cfg, now);
-                    if s.controller.is_active() {
-                        ctx.publish(Sample::for_flow("b_g", flow, s.controller.rate()));
-                        ctx.publish(Sample::for_flow(
-                            "slow_start",
-                            flow,
-                            f64::from(s.controller.in_slow_start()),
-                        ));
-                    }
+                    s.controller.epoch_tick(&self.cfg, ctx, flow);
                     self.ensure_emission(ctx, flow);
                 }
                 ctx.set_timer(self.cfg.edge_epoch, TimerKind::tagged(TIMER_EPOCH));
             }
-            TIMER_EMIT => self.handle_emit(ctx, timer.param),
+            TIMER_EMIT => self.handle_emit(ctx, timer),
             _ => {}
         }
     }
@@ -341,10 +251,8 @@ mod tests {
     use netsim::link::LinkSpec;
     use netsim::logic::ForwardLogic;
     use netsim::topology::TopologyBuilder;
-    use netsim::trace::{TraceEvent, Tracer};
     use netsim::SimReport;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use sim_core::time::SimDuration;
 
     /// One edge, one sink, an uncongested 10 Mbps link, one flow.
     fn uncongested(weight: u32, horizon: SimTime) -> SimReport {
@@ -432,56 +340,5 @@ mod tests {
         // Series records a zero after the stop.
         let series = report.allotted_rate(f).unwrap();
         assert_eq!(series.value_at(SimTime::from_secs(6)), Some(0.0));
-    }
-
-    /// Regression (flow-lifecycle bugfix): a pending `TIMER_EMIT` used
-    /// to survive `on_flow_stop` — `emission_pending` stayed set, so a
-    /// restart before the stale timer fired rode the old chain instead
-    /// of arming its own, and its first packet left at the *old*
-    /// chain's instant rather than one fresh slow-start gap after the
-    /// restart. Stops now invalidate the chain via the slot's emission
-    /// epoch.
-    #[test]
-    fn stale_emission_chain_dies_on_stop() {
-        struct Deliveries {
-            log: Rc<RefCell<Vec<SimTime>>>,
-        }
-        impl Tracer for Deliveries {
-            fn record(&mut self, now: SimTime, event: &TraceEvent) {
-                if matches!(event, TraceEvent::Deliver { .. }) {
-                    self.log.borrow_mut().push(now);
-                }
-            }
-        }
-        // Default config: initial rate 1 pps, so the chain armed at the
-        // t=0 start is due at t=1 s — after the stop at 0.45 s and the
-        // restart at 0.55 s.
-        let cfg = CoreliteConfig::default();
-        let mut b = TopologyBuilder::new(3);
-        let edge = b.node("edge", |s| Box::new(CoreliteEdge::new(s, cfg.clone())));
-        let sink = b.node("sink", |_| Box::new(ForwardLogic));
-        b.link(
-            edge,
-            sink,
-            LinkSpec::new(10_000_000, SimDuration::from_millis(10), 100),
-        );
-        b.flow(
-            FlowSpec::new(vec![edge, sink], 1)
-                .active(SimTime::ZERO, Some(SimTime::from_millis(450)))
-                .active(SimTime::from_millis(550), Some(SimTime::from_secs(3))),
-        );
-        let log = Rc::new(RefCell::new(Vec::new()));
-        b.tracer(Rc::new(RefCell::new(Deliveries { log: log.clone() })));
-        let mut net = b.build();
-        net.run_until(SimTime::from_secs(3));
-        drop(net);
-        let log = log.borrow();
-        let first = log.first().copied().expect("the restarted flow emits");
-        // Fresh chain: first emission at 0.55 + 1.0 = 1.55 s (plus the
-        // pipe). The stale chain would have emitted at t=1.0 s.
-        assert!(
-            first >= SimTime::from_millis(1550),
-            "first delivery at {first:?} rode the stale pre-stop emission chain"
-        );
     }
 }

@@ -29,9 +29,9 @@ use sim_core::time::{SimDuration, SimTime};
 
 use netsim::ids::FlowId;
 use netsim::logic::{ControlMsg, Ctx, LogicReport, RouterLogic, TimerKind};
+use netsim::pacer::{Chain, Pacer};
 use netsim::packet::{Marker, Packet};
-use netsim::slab::{ActiveSet, DenseMap};
-use netsim::telemetry::Sample;
+use netsim::slab::DenseMap;
 
 use crate::config::CoreliteConfig;
 use crate::controller::RateController;
@@ -48,7 +48,7 @@ struct GatewayFlow {
     occupant: FlowId,
     controller: RateController,
     buffer: VecDeque<Packet>,
-    emission_pending: bool,
+    chain: Chain,
     buffered_peak: usize,
     /// Last data-packet arrival; a gap ≥ `idle_restart` means the flow
     /// restarted (mid-path gateways see no flow activation events).
@@ -56,6 +56,15 @@ struct GatewayFlow {
     /// Last paced emission, if any; the emission due time is re-derived
     /// from it at the *current* rate when the pacing timer fires.
     last_emit: Option<SimTime>,
+}
+
+impl GatewayFlow {
+    /// When the next buffered packet may leave at the current rate.
+    fn due(&mut self) -> Option<SimTime> {
+        let interval = self.chain.gap(self.controller.rate());
+        self.last_emit
+            .map(|last| last.checked_add(interval).unwrap_or(SimTime::MAX))
+    }
 }
 
 /// Router logic for a Corelite inter-cloud gateway edge.
@@ -68,15 +77,13 @@ pub struct CoreliteGateway {
     /// Per-flow reassembly/shaping buffer capacity, packets.
     buffer_capacity: usize,
     flows: DenseMap<FlowId, GatewayFlow>,
-    /// Slots holding gateway state; the adaptation epoch walks this
-    /// instead of `0..key_bound()`, so under churn its cost tracks the
-    /// peak slot count rather than total arrivals.
-    occupied: ActiveSet<FlowId>,
-    /// Per-slot emission-chain epoch (see `CoreliteEdge`): bumped when
-    /// a slot changes occupant or its flow stops, so a pending pacing
-    /// timer from the previous occupant dies instead of draining the
-    /// new occupant's buffer.
-    emission_epochs: Vec<u32>,
+    /// Emission chains, plus the slots holding gateway state: the
+    /// adaptation epoch walks those instead of `0..key_bound()`, so
+    /// under churn its cost tracks the peak slot count rather than
+    /// total arrivals. A slot changing occupant or its flow stopping
+    /// kills the pending pacing timer, so it cannot drain the new
+    /// occupant's buffer.
+    pacer: Pacer<FlowId>,
     markers_injected: u64,
     feedback_received: u64,
     buffer_drops: u64,
@@ -99,8 +106,7 @@ impl CoreliteGateway {
             cfg,
             buffer_capacity,
             flows: DenseMap::new(),
-            occupied: ActiveSet::new(),
-            emission_epochs: Vec::new(),
+            pacer: Pacer::new(TIMER_EMIT),
             markers_injected: 0,
             feedback_received: 0,
             buffer_drops: 0,
@@ -108,83 +114,42 @@ impl CoreliteGateway {
         }
     }
 
-    /// The emission-chain epoch of `idx` (0 until first bumped).
-    fn epoch_of(&self, idx: usize) -> u32 {
-        self.emission_epochs.get(idx).copied().unwrap_or(0)
-    }
-
-    /// Invalidates any outstanding emission chain for `flow`'s slot.
-    fn bump_epoch(&mut self, flow: FlowId) {
-        let idx = flow.index();
-        if idx >= self.emission_epochs.len() {
-            self.emission_epochs.resize(idx + 1, 0);
-        }
-        self.emission_epochs[idx] = self.emission_epochs[idx].wrapping_add(1);
-    }
-
-    /// Timer parameter for `flow`'s current emission chain: epoch high,
-    /// slot index low.
-    fn emit_param(&self, flow: FlowId) -> u64 {
-        ((self.epoch_of(flow.index()) as u64) << 32) | flow.index() as u64
-    }
-
     fn ensure_emission(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        let param = self.emit_param(flow);
         let s = self.flows.get_mut(&flow).expect("gateway flow exists");
-        if s.emission_pending
-            || s.buffer.is_empty()
-            || !s.controller.is_active()
-            || s.controller.rate() <= 0.0
-        {
+        if s.buffer.is_empty() || !s.controller.is_active() || s.controller.rate() <= 0.0 {
             return;
         }
-        let interval = SimDuration::from_secs_f64(1.0 / s.controller.rate());
-        let delay = match s.last_emit {
-            Some(last) => {
-                let due = last.checked_add(interval).unwrap_or(SimTime::MAX);
-                due.saturating_since(ctx.now())
-            }
-            None => SimDuration::ZERO,
-        };
-        s.emission_pending = true;
-        ctx.set_timer(delay, TimerKind::with_param(TIMER_EMIT, param));
+        let delay = s
+            .due()
+            .map_or(SimDuration::ZERO, |due| due.saturating_since(ctx.now()));
+        self.pacer.arm(ctx, flow, &mut s.chain, delay);
     }
 
-    fn handle_emit(&mut self, ctx: &mut Ctx<'_>, param: u64) {
-        let idx = param as u32 as usize;
-        let epoch = (param >> 32) as u32;
+    fn handle_emit(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
         // A chain armed for a previous occupant (or a stopped
         // activation) of this slot is stale.
-        if self.epoch_of(idx) != epoch {
+        let Some(slot) = self.pacer.fire(timer) else {
             return;
-        }
+        };
         let node = ctx.node();
         let now = ctx.now();
-        let slot = FlowId::from_index(idx);
         let Some(s) = self.flows.get_mut(&slot) else {
             return;
         };
         let flow = s.occupant;
-        s.emission_pending = false;
+        s.chain.fired();
         // The timer was armed at the rate current when it was set; an
         // epoch may have changed the rate (or stopped the flow) since.
         // Re-derive the pacing decision at fire time.
         if !s.controller.is_active() || s.controller.rate() <= 0.0 {
             return;
         }
-        if let Some(last) = s.last_emit {
-            let interval = SimDuration::from_secs_f64(1.0 / s.controller.rate());
-            let due = last.checked_add(interval).unwrap_or(SimTime::MAX);
-            if now < due {
-                // The rate dropped while the timer was in flight: wait
-                // out the remainder of the new interval.
-                s.emission_pending = true;
-                ctx.set_timer(
-                    due.saturating_since(now),
-                    TimerKind::with_param(TIMER_EMIT, param),
-                );
-                return;
-            }
+        if let Some(due) = s.due().filter(|&due| now < due) {
+            // The rate dropped while the timer was in flight: wait out
+            // the remainder of the new interval.
+            self.pacer
+                .arm(ctx, flow, &mut s.chain, due.saturating_since(now));
+            return;
         }
         let Some(mut packet) = s.buffer.pop_front() else {
             return;
@@ -223,12 +188,11 @@ impl RouterLogic for CoreliteGateway {
                 - ctx.reverse_delay_to_ingress(flow).as_secs_f64())
             .max(1e-3);
         // A recycled slot's new occupant must not inherit the previous
-        // occupant's controller or buffered packets.
-        if self.flows.get(&flow).is_some_and(|s| s.occupant != flow) {
+        // occupant's controller, buffered packets or pacing chain.
+        if self.flows.get(&flow).is_none_or(|s| s.occupant != flow) {
             self.flows.remove(&flow);
-            self.bump_epoch(flow);
+            self.pacer.start(flow);
         }
-        self.occupied.insert(flow);
         let cfg = &self.cfg;
         let s = self.flows.entry_or_insert_with(flow, || {
             let mut controller = RateController::new(weight, min_rate, rtt);
@@ -237,7 +201,7 @@ impl RouterLogic for CoreliteGateway {
                 occupant: flow,
                 controller,
                 buffer: VecDeque::new(),
-                emission_pending: false,
+                chain: Chain::default(),
                 buffered_peak: 0,
                 last_arrival: now,
                 last_emit: None,
@@ -265,42 +229,24 @@ impl RouterLogic for CoreliteGateway {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
         match timer.tag {
             TIMER_EPOCH => {
-                let now = ctx.now();
                 // Occupied-slot scan in ascending slot order — the same
                 // visit order as the full `0..key_bound()` scan, but
                 // O(occupied slots) under churn. Samples are labelled
                 // with the stored occupant id, which is who the state
                 // belongs to (the network-side slot may already hold a
                 // newer occupant whose packets have not reached us yet).
-                for pos in 0..self.occupied.len() {
-                    let slot = self.occupied.get(pos);
+                for pos in 0..self.pacer.active().len() {
+                    let slot = self.pacer.active().get(pos);
                     let Some(s) = self.flows.get_mut(&slot) else {
                         continue;
                     };
                     let flow = s.occupant;
-                    if s.controller.is_active() {
-                        // m(f) must be read before the epoch update
-                        // consumes the per-core counts.
-                        ctx.publish(Sample::for_flow(
-                            "m_f",
-                            flow,
-                            s.controller.feedback_max() as f64,
-                        ));
-                    }
-                    s.controller.epoch_update(&self.cfg, now);
-                    if s.controller.is_active() {
-                        ctx.publish(Sample::for_flow("b_g", flow, s.controller.rate()));
-                        ctx.publish(Sample::for_flow(
-                            "slow_start",
-                            flow,
-                            f64::from(s.controller.in_slow_start()),
-                        ));
-                    }
+                    s.controller.epoch_tick(&self.cfg, ctx, flow);
                     self.ensure_emission(ctx, flow);
                 }
                 ctx.set_timer(self.cfg.edge_epoch, TimerKind::tagged(TIMER_EPOCH));
             }
-            TIMER_EMIT => self.handle_emit(ctx, timer.param),
+            TIMER_EMIT => self.handle_emit(ctx, timer),
             _ => {}
         }
     }
@@ -320,17 +266,15 @@ impl RouterLogic for CoreliteGateway {
         // Delivered when the gateway itself is the flow's ingress; for
         // mid-path gateways the idle-gap check in `on_packet` infers the
         // stop instead. Buffered packets are kept: they drain once the
-        // flow reactivates. The epoch bump kills the pending pacing
-        // chain either way.
-        self.bump_epoch(flow);
+        // flow reactivates. The pending pacing chain dies either way.
         if ctx.flow(flow).is_transient() {
+            self.pacer.stop(flow);
             self.flows.remove(&flow);
-            self.occupied.remove(flow);
             return;
         }
+        self.pacer.invalidate(flow);
         if let Some(s) = self.flows.get_mut(&flow) {
             s.controller.stop(ctx.now());
-            s.emission_pending = false;
         }
     }
 

@@ -17,7 +17,8 @@ use sim_core::time::{SimDuration, SimTime};
 
 use netsim::ids::FlowId;
 use netsim::logic::{ControlMsg, Ctx, LogicReport, RouterLogic, TimerKind};
-use netsim::slab::{ActiveSet, DenseMap};
+use netsim::pacer::{Chain, Pacer};
+use netsim::slab::DenseMap;
 
 use crate::config::CsfqConfig;
 use crate::estimator::RateEstimator;
@@ -40,7 +41,7 @@ struct FlowState {
     phase: Phase,
     last_double: SimTime,
     losses_this_epoch: u32,
-    emission_pending: bool,
+    chain: Chain,
     estimator: RateEstimator,
     series: TimeSeries,
 }
@@ -54,7 +55,7 @@ impl FlowState {
             phase: Phase::Linear,
             last_double: SimTime::ZERO,
             losses_this_epoch: 0,
-            emission_pending: false,
+            chain: Chain::default(),
             estimator: RateEstimator::new(k_flow),
             series: TimeSeries::new(),
         }
@@ -67,14 +68,10 @@ impl FlowState {
 pub struct CsfqEdge {
     cfg: CsfqConfig,
     flows: DenseMap<FlowId, FlowState>,
-    /// Flows currently started here; the adaptation epoch walks this
-    /// instead of every slot ever occupied (O(active) under churn).
-    active: ActiveSet<FlowId>,
-    /// Per-slot emission-chain epoch; see `CoreliteEdge::emission_epochs`.
-    /// Start and stop both bump it, so a pending `TIMER_EMIT` from a
-    /// finished activation (or a recycled slot's previous occupant)
-    /// can never feed the current one.
-    emission_epochs: Vec<u32>,
+    /// Emission chains, and the started flows the adaptation epoch
+    /// walks instead of every slot ever occupied (O(active) under
+    /// churn).
+    pacer: Pacer<FlowId>,
     losses_seen: u64,
     packets_labelled: u64,
     #[allow(dead_code)]
@@ -93,8 +90,7 @@ impl CsfqEdge {
         CsfqEdge {
             cfg,
             flows: DenseMap::new(),
-            active: ActiveSet::new(),
-            emission_epochs: Vec::new(),
+            pacer: Pacer::new(TIMER_EMIT),
             losses_seen: 0,
             packets_labelled: 0,
             seed,
@@ -112,51 +108,21 @@ impl CsfqEdge {
         s.series.push(now, value);
     }
 
-    /// Invalidates any outstanding emission chain for `flow`'s slot and
-    /// returns the new epoch for arming a fresh one.
-    fn bump_epoch(&mut self, flow: FlowId) -> u32 {
-        let idx = flow.index();
-        if idx >= self.emission_epochs.len() {
-            self.emission_epochs.resize(idx + 1, 0);
-        }
-        self.emission_epochs[idx] = self.emission_epochs[idx].wrapping_add(1);
-        self.emission_epochs[idx]
-    }
-
-    /// The timer parameter for `flow`'s current emission chain: epoch in
-    /// the high 32 bits, slot index in the low 32.
-    fn emit_param(&self, flow: FlowId) -> u64 {
-        let epoch = self.emission_epochs[flow.index()];
-        ((epoch as u64) << 32) | flow.index() as u64
-    }
-
     fn ensure_emission(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        let param = self.emit_param(flow);
         let s = self.flows.get_mut(&flow).expect("flow state exists");
-        if s.active && s.rate > 0.0 && !s.emission_pending {
-            s.emission_pending = true;
-            ctx.set_timer(
-                SimDuration::from_secs_f64(1.0 / s.rate),
-                TimerKind::with_param(TIMER_EMIT, param),
-            );
+        if s.active && s.rate > 0.0 {
+            self.pacer.pace(ctx, flow, &mut s.chain, s.rate);
         }
     }
 
-    fn handle_emit(&mut self, ctx: &mut Ctx<'_>, param: u64) {
-        let idx = param as u32 as usize;
-        let epoch = (param >> 32) as u32;
-        // A chain armed under an older epoch belongs to a finished
-        // activation (or a recycled slot's previous occupant).
-        if self.emission_epochs.get(idx) != Some(&epoch) {
+    fn handle_emit(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
+        let Some(flow) = self.pacer.fire_flow(ctx, timer) else {
             return;
-        }
-        // Epoch matched: the slot's current occupant armed this chain;
-        // resolve its full id so the packet is attributed to it.
-        let flow = ctx.flow(FlowId::from_index(idx)).id;
+        };
         let Some(s) = self.flows.get_mut(&flow) else {
             return;
         };
-        s.emission_pending = false;
+        s.chain.fired();
         if !s.active || s.rate <= 0.0 {
             return;
         }
@@ -166,12 +132,7 @@ impl CsfqEdge {
         let packet = ctx.new_packet(flow).with_label(label);
         ctx.emit(packet);
         self.packets_labelled += 1;
-        let s = self.flows.get_mut(&flow).expect("flow state exists");
-        s.emission_pending = true;
-        ctx.set_timer(
-            SimDuration::from_secs_f64(1.0 / s.rate),
-            TimerKind::with_param(TIMER_EMIT, param),
-        );
+        self.pacer.pace(ctx, flow, &mut s.chain, s.rate);
     }
 
     fn adapt_all(&mut self, ctx: &mut Ctx<'_>) {
@@ -181,8 +142,8 @@ impl CsfqEdge {
         // clears `losses_this_epoch`, losses cannot accumulate while a
         // flow is inactive, and inactive flows neither record samples
         // nor arm emission.
-        for pos in 0..self.active.len() {
-            let flow = ctx.flow(self.active.get(pos)).id;
+        for pos in 0..self.pacer.active().len() {
+            let flow = ctx.flow(self.pacer.active().get(pos)).id;
             let alpha = self.cfg.alpha;
             let beta = self.cfg.beta;
             let Some(s) = self.flows.get_mut(&flow) else {
@@ -238,10 +199,7 @@ impl RouterLogic for CsfqEdge {
         let info = ctx.flow(flow);
         let (weight, transient) = (info.weight, info.is_transient());
         let k_flow = self.cfg.k_flow;
-        // Invalidate any chain left over from a previous activation or
-        // a recycled slot's previous occupant.
-        self.bump_epoch(flow);
-        self.active.insert(flow);
+        self.pacer.start(flow);
         if transient {
             // Churn flows always begin from scratch, even if the slot's
             // previous occupant's stop was swallowed by a pause.
@@ -256,17 +214,13 @@ impl RouterLogic for CsfqEdge {
         s.last_double = now;
         s.losses_this_epoch = 0;
         s.estimator = RateEstimator::new(k_flow);
-        s.emission_pending = false;
         self.record(flow, now);
         self.ensure_emission(ctx, flow);
     }
 
     fn on_flow_stop(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
         let now = ctx.now();
-        // Kill the outstanding emission chain: a pending `TIMER_EMIT`
-        // must not survive the stop and leak into a later activation.
-        self.bump_epoch(flow);
-        self.active.remove(flow);
+        self.pacer.stop(flow);
         if ctx.flow(flow).is_transient() {
             // Departed churn flows never restart; drop their state so
             // edge memory tracks the active set, not total arrivals.
@@ -276,7 +230,6 @@ impl RouterLogic for CsfqEdge {
         if let Some(s) = self.flows.get_mut(&flow) {
             s.active = false;
             s.losses_this_epoch = 0;
-            s.emission_pending = false;
         }
         self.record(flow, now);
     }
@@ -287,7 +240,7 @@ impl RouterLogic for CsfqEdge {
                 self.adapt_all(ctx);
                 ctx.set_timer(self.cfg.edge_epoch, TimerKind::tagged(TIMER_EPOCH));
             }
-            TIMER_EMIT => self.handle_emit(ctx, timer.param),
+            TIMER_EMIT => self.handle_emit(ctx, timer),
             _ => {}
         }
     }

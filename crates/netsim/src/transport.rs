@@ -7,9 +7,9 @@
 //! real deployment — senders that are *clocked by acknowledgements*:
 //!
 //! * [`CongestionControl`] — the window-adaptation strategy, decoupled
-//!   from reliability. Implementations here: [`Reno`] (slow start +
-//!   AIMD) and [`WindowLimd`] (the paper's weight-proportional LIMD
-//!   recast as a window rule). The `corelite` crate adapts its
+//!   from reliability. The one implementation here is [`Reno`] (slow
+//!   start + AIMD). The paper's weight-proportional LIMD lives in the
+//!   `corelite` crate (`corelite::cc::CoreliteCc`), which adapts its
 //!   `RateController` to this trait so ack-clocked flows participate in
 //!   marker-feedback fairness.
 //! * [`GbnSender`] — a cumulative-ack go-back-N sender installed as
@@ -22,18 +22,19 @@
 //!
 //! Everything here is deterministic by construction: the sender holds no
 //! RNG, every state transition is driven by an engine event (ack
-//! control message, timer, lifecycle), and timers use the epoch-guarded
-//! chain idiom so recycled flow slots never inherit a predecessor's
-//! clock.
+//! control message, timer, lifecycle), and both timer chains share one
+//! `pacer` generation guard per slot, so recycled flow slots never
+//! inherit a predecessor's clock.
 
 use std::collections::VecDeque;
 
 use sim_core::stats::TimeSeries;
 use sim_core::time::{SimDuration, SimTime};
 
-use crate::flow::{FlowInfo, Transport};
+use crate::flow::FlowInfo;
 use crate::ids::FlowId;
 use crate::logic::{ControlMsg, Ctx, LogicReport, RouterLogic, TimerKind};
+use crate::pacer::ChainGuard;
 use crate::packet::Marker;
 use crate::slab::DenseMap;
 use crate::telemetry::Sample;
@@ -202,72 +203,6 @@ impl CongestionControl for Reno {
     }
 }
 
-/// The paper's LIMD recast as a window rule: the window grows by
-/// `alpha · w` packets per epoch while no signal arrived that epoch, and
-/// halves on a signal — so in steady state a flow's window (and with
-/// equal round trips, its rate) is proportional to its weight `w`, the
-/// same fixed point the open-loop Corelite controller converges to.
-#[derive(Debug, Clone)]
-pub struct WindowLimd {
-    weight: u32,
-    alpha: f64,
-    cwnd: f64,
-    rtt: f64,
-    signalled: bool,
-}
-
-impl WindowLimd {
-    /// A window-LIMD controller for a flow of the given `weight`;
-    /// `alpha` is the per-epoch additive increase per unit weight, in
-    /// packets.
-    pub fn new(weight: u32, alpha: f64) -> Self {
-        WindowLimd {
-            weight: weight.max(1),
-            alpha,
-            cwnd: 1.0,
-            rtt: 1e-3,
-            signalled: false,
-        }
-    }
-}
-
-impl CongestionControl for WindowLimd {
-    fn on_start(&mut self, _now: SimTime, base_rtt: f64) {
-        self.cwnd = self.weight as f64;
-        self.rtt = base_rtt.max(1e-6);
-        self.signalled = false;
-    }
-
-    fn on_ack(&mut self, _now: SimTime, _newly_acked: u64, srtt: f64) {
-        self.rtt = srtt.max(1e-6);
-    }
-
-    fn on_signal(&mut self, _now: SimTime) {
-        self.cwnd = (self.cwnd / 2.0).max(1.0);
-        self.signalled = true;
-    }
-
-    fn on_rto(&mut self, _now: SimTime) {
-        self.cwnd = 1.0;
-        self.signalled = true;
-    }
-
-    fn on_epoch(&mut self, _now: SimTime) {
-        if !self.signalled {
-            self.cwnd += self.alpha * self.weight as f64;
-        }
-        self.signalled = false;
-    }
-
-    fn window(&self) -> f64 {
-        self.cwnd.max(1.0)
-    }
-
-    fn rate(&self) -> f64 {
-        self.cwnd.max(1.0) / self.rtt
-    }
-}
-
 /// Configuration for the [`GbnSender`].
 #[derive(Debug, Clone)]
 pub struct GbnConfig {
@@ -357,10 +292,10 @@ pub struct GbnSender {
     cfg: GbnConfig,
     factory: CcFactory,
     flows: DenseMap<FlowId, GbnFlow>,
-    /// Per-slot timer-chain generation (epoch-guard idiom): bumped on
-    /// every start/stop so timers armed by a previous activation or a
+    /// Generation guard for the RTO and tick chains: bumped on every
+    /// start/stop so timers armed by a previous activation or a
     /// recycled slot's previous occupant are recognized as stale.
-    gens: Vec<u32>,
+    chains: ChainGuard<FlowId>,
     acks_received: u64,
     rtos_fired: u64,
     fast_retransmits: u64,
@@ -375,7 +310,7 @@ impl GbnSender {
             cfg,
             factory,
             flows: DenseMap::new(),
-            gens: Vec::new(),
+            chains: ChainGuard::default(),
             acks_received: 0,
             rtos_fired: 0,
             fast_retransmits: 0,
@@ -384,54 +319,12 @@ impl GbnSender {
         }
     }
 
-    /// A sender whose factory follows each flow's declared
-    /// [`Transport`]: Reno for [`Transport::Reno`], window-LIMD (with
-    /// the given per-epoch `alpha`) for everything else.
-    pub fn by_transport(cfg: GbnConfig, alpha: f64) -> Self {
-        Self::new(
-            cfg,
-            Box::new(
-                move |info: &FlowInfo, _base_rtt: f64| match info.transport {
-                    Transport::Reno => Box::new(Reno::new()) as Box<dyn CongestionControl>,
-                    _ => Box::new(WindowLimd::new(info.weight, alpha)),
-                },
-            ),
-        )
-    }
-
-    fn bump_gen(&mut self, flow: FlowId) -> u32 {
-        let idx = flow.index();
-        if idx >= self.gens.len() {
-            self.gens.resize(idx + 1, 0);
-        }
-        self.gens[idx] = self.gens[idx].wrapping_add(1);
-        self.gens[idx]
-    }
-
-    /// Timer param for `flow`'s current chains: generation high,
-    /// slot index low.
-    fn timer_param(&self, flow: FlowId) -> u64 {
-        ((self.gens[flow.index()] as u64) << 32) | flow.index() as u64
-    }
-
-    /// Resolves a timer param back to the current occupant, or `None`
-    /// when the chain is stale (older generation, or the state is gone).
-    fn resolve_timer(&self, ctx: &Ctx<'_>, param: u64) -> Option<FlowId> {
-        let idx = param as u32 as usize;
-        let gen = (param >> 32) as u32;
-        if self.gens.get(idx) != Some(&gen) {
-            return None;
-        }
-        let flow = ctx.flow(FlowId::from_index(idx)).id;
-        self.flows.get(&flow).map(|_| flow)
-    }
-
     /// Sends first transmissions until the window is full, then keeps
     /// the RTO chain armed.
     fn pump(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
         let node = ctx.node();
         let now = ctx.now();
-        let param = self.timer_param(flow);
+        let param = self.chains.param(flow);
         let max_window = self.cfg.max_window as u64;
         let mut marked = 0u64;
         let Some(s) = self.flows.get_mut(&flow) else {
@@ -567,7 +460,7 @@ impl GbnSender {
     }
 
     fn handle_rto(&mut self, ctx: &mut Ctx<'_>, param: u64) {
-        let Some(flow) = self.resolve_timer(ctx, param) else {
+        let Some(flow) = self.chains.resolve(ctx, param) else {
             return;
         };
         let now = ctx.now();
@@ -601,17 +494,18 @@ impl GbnSender {
     }
 
     fn handle_tick(&mut self, ctx: &mut Ctx<'_>, param: u64) {
-        let Some(flow) = self.resolve_timer(ctx, param) else {
+        let Some(flow) = self.chains.resolve(ctx, param) else {
             return;
         };
         let now = ctx.now();
-        if let Some(s) = self.flows.get_mut(&flow) {
-            s.cc.on_epoch(now);
-            let rate = s.cc.rate();
-            s.series.push(now, rate);
-            ctx.publish(Sample::for_flow("b_g", flow, rate));
-            ctx.publish(Sample::for_flow("cwnd", flow, s.cc.window()));
-        }
+        let Some(s) = self.flows.get_mut(&flow) else {
+            return;
+        };
+        s.cc.on_epoch(now);
+        let rate = s.cc.rate();
+        s.series.push(now, rate);
+        ctx.publish(Sample::for_flow("b_g", flow, rate));
+        ctx.publish(Sample::for_flow("cwnd", flow, s.cc.window()));
         self.pump(ctx, flow);
         ctx.set_timer(self.cfg.epoch, TimerKind::with_param(TIMER_GBN_TICK, param));
     }
@@ -631,7 +525,7 @@ impl RouterLogic for GbnSender {
         cc.on_start(now, base_rtt);
         let weight = info.weight;
         let marker_every = self.cfg.marker_spacing.map(|k1| (k1 * weight).max(1));
-        self.bump_gen(flow);
+        self.chains.bump(flow);
         self.flows.insert(
             flow,
             GbnFlow {
@@ -655,7 +549,7 @@ impl RouterLogic for GbnSender {
             },
         );
         self.pump(ctx, flow);
-        let param = self.timer_param(flow);
+        let param = self.chains.param(flow);
         ctx.set_timer(self.cfg.epoch, TimerKind::with_param(TIMER_GBN_TICK, param));
     }
 
@@ -663,7 +557,7 @@ impl RouterLogic for GbnSender {
         // Invalidate both timer chains and drop all connection state; a
         // restart begins from sequence zero, mirroring the egress
         // receiver's reset.
-        self.bump_gen(flow);
+        self.chains.bump(flow);
         self.flows.remove(&flow);
     }
 
@@ -765,30 +659,13 @@ mod tests {
         assert_eq!(cc.window(), 1.0);
     }
 
-    #[test]
-    fn window_limd_grows_with_weight_and_halves_on_signal() {
-        let mut w1 = WindowLimd::new(1, 1.0);
-        let mut w4 = WindowLimd::new(4, 1.0);
-        w1.on_start(SimTime::ZERO, 0.1);
-        w4.on_start(SimTime::ZERO, 0.1);
-        for _ in 0..10 {
-            w1.on_epoch(SimTime::ZERO);
-            w4.on_epoch(SimTime::ZERO);
-        }
-        assert!((w4.window() / w1.window() - 4.0).abs() < 0.3);
-        let before = w4.window();
-        w4.on_signal(SimTime::ZERO);
-        assert!((w4.window() - before / 2.0).abs() < 1e-9);
-        // A signalled epoch does not also grow.
-        w4.on_epoch(SimTime::ZERO);
-        assert!((w4.window() - before / 2.0).abs() < 1e-9);
+    fn reno_sender(cfg: GbnConfig) -> Box<GbnSender> {
+        Box::new(GbnSender::new(cfg, Box::new(|_, _| Box::new(Reno::new()))))
     }
 
     fn gbn_chain(cfg: GbnConfig, transport: crate::flow::Transport) -> (SimReport, FlowId) {
         let mut b = TopologyBuilder::new(7);
-        let src = b.node("src", move |_| {
-            Box::new(GbnSender::by_transport(cfg.clone(), 1.0))
-        });
+        let src = b.node("src", move |_| reno_sender(cfg.clone()));
         let mid = b.node("mid", |_| Box::new(ForwardLogic));
         let dst = b.node("dst", |_| Box::new(ForwardLogic));
         let spec = LinkSpec::new(4_000_000, SimDuration::from_millis(10), 40);
@@ -843,9 +720,7 @@ mod tests {
         // A tiny queue forces drops, RTOs, and whole-window redelivery.
         let mut b = TopologyBuilder::new(7);
         let cfg = GbnConfig::default();
-        let src = b.node("src", move |_| {
-            Box::new(GbnSender::by_transport(cfg.clone(), 1.0))
-        });
+        let src = b.node("src", move |_| reno_sender(cfg.clone()));
         let dst = b.node("dst", |_| Box::new(ForwardLogic));
         b.link(
             src,

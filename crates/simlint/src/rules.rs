@@ -235,6 +235,7 @@ const HOT_PATH_MODULES: &[&str] = &[
     "crates/netsim/src/slab.rs",
     "crates/netsim/src/telemetry.rs",
     "crates/netsim/src/transport.rs",
+    "crates/netsim/src/pacer.rs",
     "crates/corelite/src/edge.rs",
     "crates/corelite/src/router.rs",
     "crates/csfq/src/core.rs",
@@ -257,6 +258,7 @@ const DENSE_STATE_MODULES: &[&str] = &[
     "crates/netsim/src/monitor.rs",
     "crates/netsim/src/slab.rs",
     "crates/netsim/src/transport.rs",
+    "crates/netsim/src/pacer.rs",
     "crates/corelite/src/edge.rs",
     "crates/corelite/src/router.rs",
     "crates/corelite/src/gateway.rs",
@@ -274,8 +276,9 @@ const DENSE_STATE_MODULES: &[&str] = &[
 /// touches retired occupants, where `ActiveSet` iteration is O(active
 /// flows) in the same ascending-index order. Link tables never recycle
 /// their slots, so per-link scans (the core router's) stay off this
-/// list.
+/// list. `netsim::pacer` owns the active set every paced edge walks.
 const FLOW_LIFECYCLE_MODULES: &[&str] = &[
+    "crates/netsim/src/pacer.rs",
     "crates/corelite/src/edge.rs",
     "crates/corelite/src/gateway.rs",
     "crates/corelite/src/aggregate.rs",
@@ -334,6 +337,18 @@ const HOT_FNS: &[&str] = &[
     "schedule_next",
     "run_epoch",
     "adapt_all",
+    // netsim::pacer: emission-chain arm/fire and the generation guard
+    // behind them.
+    "arm",
+    "pace",
+    "fire",
+    "fire_flow",
+    "bump",
+    "param",
+    "check",
+    "resolve",
+    "invalidate",
+    "gap",
     // Telemetry: every per-epoch publish lands here; the zero-alloc
     // contract (ISSUE 5) extends to probe recording.
     "record",
@@ -889,6 +904,8 @@ mod tests {
         assert!(classify("crates/simlint/fixtures/panic_path_bad.rs").event_loop);
         assert!(classify("crates/simlint/fixtures/hot_alloc_bad.rs").hot_path);
         assert!(classify("crates/corelite/src/gateway.rs").flow_lifecycle);
+        let pacer = classify("crates/netsim/src/pacer.rs");
+        assert!(pacer.hot_path && pacer.dense_state && pacer.flow_lifecycle);
         assert!(!classify("crates/corelite/src/router.rs").flow_lifecycle);
         assert!(classify("crates/simlint/fixtures/flow_lifecycle_bad.rs").flow_lifecycle);
     }
