@@ -130,18 +130,7 @@ fn bench_fat_tree(runner: &mut Runner) {
 
     const LEAVES: usize = 8;
     const SPINES: usize = 4;
-    let mut links = Vec::new();
-    for leaf in 0..LEAVES {
-        for spine in 0..SPINES {
-            links.push((leaf, LEAVES + spine));
-            links.push((LEAVES + spine, leaf));
-        }
-    }
-    let topo = TopologySpec {
-        name: "fat_tree_k",
-        core_count: LEAVES + SPINES,
-        links,
-    };
+    let topo = TopologySpec::fat_tree_k(LEAVES, SPINES);
     let flows = (0..2 * LEAVES)
         .map(|i| {
             let src = i % LEAVES;

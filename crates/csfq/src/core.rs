@@ -26,8 +26,8 @@ use netsim::telemetry::Sample;
 use crate::config::CsfqConfig;
 use crate::estimator::RateEstimator;
 
-/// Telemetry sampling timer, armed only when a probe is installed so a
-/// probe-less run's event stream is untouched.
+/// Telemetry sampling timer, armed only when an observer is installed
+/// so an unobserved run's event stream is untouched.
 const TIMER_SAMPLE: u32 = 1;
 
 /// The per-link fair-share estimation state of a CSFQ core router.
@@ -192,8 +192,8 @@ impl RouterLogic for CsfqCore {
                 .insert(link, FairShareEstimator::new(capacity, self.cfg.k_link));
         }
         // CSFQ has no epoch timer of its own; fair-share telemetry needs
-        // a sampling clock. Arm it only under a probe: extra events would
-        // otherwise perturb probe-less runs.
+        // a sampling clock. Arm it only under an observer: extra events
+        // would otherwise perturb unobserved runs.
         if ctx.probe_enabled() {
             ctx.set_timer(self.cfg.k_link, TimerKind::tagged(TIMER_SAMPLE));
         }

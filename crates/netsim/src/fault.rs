@@ -11,7 +11,7 @@
 //! * adding faults never perturbs the draw sequences of existing
 //!   components (sources, marker selectors, ...).
 //!
-//! Every injected fault is surfaced to the installed tracer as a
+//! Every injected fault is surfaced to the installed observer as a
 //! [`TraceEvent::Fault`](crate::trace::TraceEvent::Fault), and packets
 //! dropped by a downed link are accounted under
 //! [`DropReason::Fault`](crate::logic::DropReason::Fault).

@@ -75,6 +75,7 @@ pub use network::{DispatchMode, Network};
 pub use pacer::{Chain, Pacer};
 pub use packet::{Marker, Packet};
 pub use slab::{ActiveSet, DenseMap, SlabKey};
-pub use telemetry::{Probe, ProbeRecord, RingProbe, Sample};
+pub use telemetry::{ProbeRecord, RingProbe, Sample};
 pub use topology::TopologyBuilder;
+pub use trace::Observer;
 pub use transport::{CongestionControl, GbnConfig, GbnSender, Reno, RttEstimator};

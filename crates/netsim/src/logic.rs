@@ -18,9 +18,11 @@ use sim_core::time::{SimDuration, SimTime};
 use crate::flow::FlowInfo;
 use crate::ids::{FlowId, LinkId, NodeId, PacketId};
 use crate::link::{Link, LinkSpec};
+use crate::pacer::{Chain, Pacer};
 use crate::packet::{Marker, Packet};
 use crate::slab::DenseMap;
-use crate::telemetry::{Probe, Sample};
+use crate::telemetry::Sample;
+use crate::trace::Observer;
 
 /// An opaque timer tag interpreted by the logic that scheduled it.
 ///
@@ -245,7 +247,7 @@ pub struct Ctx<'a> {
     next_packet: &'a mut u64,
     outgoing: &'a [LinkId],
     actions: &'a mut ActionBuf,
-    probe: Option<&'a RefCell<dyn Probe>>,
+    observer: Option<&'a RefCell<dyn Observer>>,
 }
 
 impl<'a> Ctx<'a> {
@@ -259,7 +261,7 @@ impl<'a> Ctx<'a> {
         next_packet: &'a mut u64,
         outgoing: &'a [LinkId],
         actions: &'a mut ActionBuf,
-        probe: Option<&'a RefCell<dyn Probe>>,
+        observer: Option<&'a RefCell<dyn Observer>>,
     ) -> Self {
         Ctx {
             now,
@@ -270,7 +272,7 @@ impl<'a> Ctx<'a> {
             next_packet,
             outgoing,
             actions,
-            probe,
+            observer,
         }
     }
 
@@ -411,25 +413,26 @@ impl<'a> Ctx<'a> {
         self.actions.push(Action::Timer { delay, timer });
     }
 
-    /// Whether a control-plane [`Probe`] is installed.
+    /// Whether an [`Observer`] is installed.
     ///
     /// Logic that would schedule *extra events* purely to publish
     /// telemetry (e.g. a sampling timer) must gate them on this, so that
-    /// a probe-less run has an event stream identical to a build without
+    /// an unobserved run has an event stream identical to a build without
     /// telemetry at all.
     pub fn probe_enabled(&self) -> bool {
-        self.probe.is_some()
+        self.observer.is_some()
     }
 
-    /// Publishes a control-plane sample to the installed probe, if any.
+    /// Publishes a control-plane sample to the installed observer, if
+    /// any.
     ///
-    /// With no probe installed this is a single branch; with one
+    /// With no observer installed this is a single branch; with one
     /// installed it is a `RefCell` borrow and a `Copy` — no allocation
     /// either way (the zero-alloc contract, see
     /// [`telemetry`](crate::telemetry)).
     pub fn publish(&self, sample: Sample) {
-        if let Some(p) = self.probe {
-            p.borrow_mut().record(self.now, self.node, &sample);
+        if let Some(o) = self.observer {
+            o.borrow_mut().record_sample(self.now, self.node, &sample);
         }
     }
 }
@@ -488,6 +491,64 @@ pub struct ForwardLogic;
 
 impl RouterLogic for ForwardLogic {}
 
+/// The emission chains of a built-in source: one [`Chain`] per flow on
+/// a shared [`Pacer`], so a stop or a recycled slot ends a flow's chain
+/// and a restart begins a fresh one.
+#[derive(Debug)]
+struct SourceChains {
+    pacer: Pacer<FlowId>,
+    chains: DenseMap<FlowId, Chain>,
+    emitted: u64,
+}
+
+impl SourceChains {
+    fn new(tag: u32) -> Self {
+        SourceChains {
+            pacer: Pacer::new(tag),
+            chains: DenseMap::new(),
+            emitted: 0,
+        }
+    }
+
+    /// `flow` starts: its chain fires first after `delay`.
+    fn start(&mut self, ctx: &mut Ctx<'_>, flow: FlowId, delay: SimDuration) {
+        self.pacer.start(flow);
+        let chain = self.chains.entry_or_insert_with(flow, Chain::default);
+        self.pacer.arm(ctx, flow, chain, delay);
+    }
+
+    /// Emits one packet for the flow whose live chain `timer` belongs
+    /// to, returning that flow for re-arming; `None` for a stale chain
+    /// or an inactive flow.
+    fn fire(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) -> Option<FlowId> {
+        let flow = self.pacer.fire_flow(ctx, timer)?;
+        self.chains.get_mut(&flow)?.fired();
+        if !ctx.flow(flow).is_active_at(ctx.now()) {
+            return None;
+        }
+        let packet = ctx.new_packet(flow);
+        ctx.emit(packet);
+        self.emitted += 1;
+        Some(flow)
+    }
+
+    /// Re-arms `flow`'s chain to fire after `delay`.
+    fn arm(&mut self, ctx: &mut Ctx<'_>, flow: FlowId, delay: SimDuration) {
+        if let Some(chain) = self.chains.get_mut(&flow) {
+            self.pacer.arm(ctx, flow, chain, delay);
+        }
+    }
+
+    fn report(&self) -> LogicReport {
+        let mut counters = BTreeMap::new();
+        counters.insert("emitted_packets".to_owned(), self.emitted as f64);
+        LogicReport {
+            flow_rates: DenseMap::new(),
+            counters,
+        }
+    }
+}
+
 /// A Poisson traffic source for testing and sensitivity ablations: emits
 /// packets with exponentially distributed gaps at a fixed mean rate for
 /// every active flow whose ingress is this node.
@@ -495,7 +556,7 @@ impl RouterLogic for ForwardLogic {}
 pub struct PoissonSource {
     rng: DetRng,
     rate_pps: f64,
-    emitted: u64,
+    chains: SourceChains,
 }
 
 const POISSON_EMIT: u32 = 1;
@@ -511,59 +572,49 @@ impl PoissonSource {
         PoissonSource {
             rng: DetRng::new(seed),
             rate_pps,
-            emitted: 0,
+            chains: SourceChains::new(POISSON_EMIT),
         }
     }
 
-    fn schedule_next(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        let gap = self.rng.exp(self.rate_pps);
-        ctx.set_timer(
-            SimDuration::from_secs_f64(gap),
-            TimerKind::with_param(POISSON_EMIT, flow.pack()),
-        );
+    fn gap(&mut self) -> SimDuration {
+        SimDuration::from_secs_f64(self.rng.exp(self.rate_pps))
     }
 }
 
 impl RouterLogic for PoissonSource {
     fn on_flow_start(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        self.schedule_next(ctx, flow);
+        let gap = self.gap();
+        self.chains.start(ctx, flow, gap);
+    }
+
+    fn on_flow_stop(&mut self, _ctx: &mut Ctx<'_>, flow: FlowId) {
+        self.chains.pacer.stop(flow);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
         if timer.tag != POISSON_EMIT {
             return;
         }
-        let flow = FlowId::unpack(timer.param);
-        // The chain ends when the flow stops — or when its slot has been
-        // recycled to a new generation (the id no longer matches).
-        if ctx.flow(flow).id != flow || !ctx.flow(flow).is_active_at(ctx.now()) {
-            return;
+        if let Some(flow) = self.chains.fire(ctx, timer) {
+            let gap = self.gap();
+            self.chains.arm(ctx, flow, gap);
         }
-        let packet = ctx.new_packet(flow);
-        ctx.emit(packet);
-        self.emitted += 1;
-        self.schedule_next(ctx, flow);
     }
 
     fn report(&self, _now: SimTime) -> LogicReport {
-        let mut counters = BTreeMap::new();
-        counters.insert("emitted_packets".to_owned(), self.emitted as f64);
-        LogicReport {
-            flow_rates: DenseMap::new(),
-            counters,
-        }
+        self.chains.report()
     }
 }
 
 /// A constant-rate source: emits packets with fixed gaps at `rate_pps` for
-/// every active flow whose ingress is this node. Useful as an unmanaged
-/// (non-adaptive) load generator.
+/// every active flow whose ingress is this node, the first at once.
+/// Useful as an unmanaged (non-adaptive) load generator.
 #[derive(Debug)]
 pub struct CbrSource {
     /// Inter-packet gap, fixed for the source's lifetime; precomputed
     /// so the emission path skips the float-to-duration conversion.
     gap: SimDuration,
-    emitted: u64,
+    chains: SourceChains,
 }
 
 const CBR_EMIT: u32 = 2;
@@ -578,41 +629,31 @@ impl CbrSource {
         assert!(rate_pps > 0.0, "source rate must be positive");
         CbrSource {
             gap: SimDuration::from_secs_f64(1.0 / rate_pps),
-            emitted: 0,
+            chains: SourceChains::new(CBR_EMIT),
         }
     }
 }
 
 impl RouterLogic for CbrSource {
     fn on_flow_start(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        ctx.set_timer(
-            SimDuration::ZERO,
-            TimerKind::with_param(CBR_EMIT, flow.pack()),
-        );
+        self.chains.start(ctx, flow, SimDuration::ZERO);
+    }
+
+    fn on_flow_stop(&mut self, _ctx: &mut Ctx<'_>, flow: FlowId) {
+        self.chains.pacer.stop(flow);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerKind) {
         if timer.tag != CBR_EMIT {
             return;
         }
-        let flow = FlowId::unpack(timer.param);
-        // See `PoissonSource`: a recycled slot ends stale chains too.
-        if ctx.flow(flow).id != flow || !ctx.flow(flow).is_active_at(ctx.now()) {
-            return;
+        if let Some(flow) = self.chains.fire(ctx, timer) {
+            self.chains.arm(ctx, flow, self.gap);
         }
-        let packet = ctx.new_packet(flow);
-        ctx.emit(packet);
-        self.emitted += 1;
-        ctx.set_timer(self.gap, TimerKind::with_param(CBR_EMIT, flow.pack()));
     }
 
     fn report(&self, _now: SimTime) -> LogicReport {
-        let mut counters = BTreeMap::new();
-        counters.insert("emitted_packets".to_owned(), self.emitted as f64);
-        LogicReport {
-            flow_rates: DenseMap::new(),
-            counters,
-        }
+        self.chains.report()
     }
 }
 

@@ -11,8 +11,7 @@ use crate::link::Link;
 use crate::logic::{Action, ActionBuf, ControlMsg, Ctx, DropReason, RouterLogic, TimerKind};
 use crate::monitor::{FlowMonitor, FlowReport, LinkReport, SimReport};
 use crate::packet::Packet;
-use crate::telemetry::Probe;
-use crate::trace::{FaultKind, TraceEvent, Tracer};
+use crate::trace::{FaultKind, Observer, TraceEvent};
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -62,7 +61,7 @@ fn node_site(node: NodeId) -> u64 {
     node.index() as u64 + 1
 }
 
-/// Cursor published to capture probes/tracers: the `(time, key)` of the
+/// Cursor published to the shard capture observer: the `(time, key)` of the
 /// event (or `on_start` sweep step) currently being dispatched.
 pub(crate) type EventCursor = Rc<Cell<(SimTime, u64)>>;
 
@@ -153,7 +152,7 @@ pub struct Network {
     /// barrier exchange (empty under [`ExecRole::Whole`]).
     outbox: Vec<OutboundEvent>,
     /// When capture hooks are installed, the `(time, key)` of the event
-    /// being dispatched (shard workers use it to tag probe/trace records
+    /// being dispatched (shard workers use it to tag observed records
     /// for the deterministic merge).
     cursor: Option<EventCursor>,
     /// The canonical key of the event currently being dispatched (churn
@@ -161,8 +160,7 @@ pub struct Network {
     current_key: u64,
     notify_losses: bool,
     started: bool,
-    tracer: Option<Rc<RefCell<dyn Tracer>>>,
-    probe: Option<Rc<RefCell<dyn Probe>>>,
+    observer: Option<Rc<RefCell<dyn Observer>>>,
     faults: Option<FaultState>,
     churn: Option<ChurnState>,
     /// Measurement window, kept for monitors created at runtime by churn
@@ -199,8 +197,7 @@ impl Network {
         reverse_delays: Vec<Vec<SimDuration>>,
         window: SimDuration,
         notify_losses: bool,
-        tracer: Option<Rc<RefCell<dyn Tracer>>>,
-        probe: Option<Rc<RefCell<dyn Probe>>>,
+        observer: Option<Rc<RefCell<dyn Observer>>>,
         faults: Option<FaultState>,
         churn: Option<ChurnState>,
         queue_backend: QueueBackend,
@@ -245,8 +242,7 @@ impl Network {
             current_key: 0,
             notify_losses,
             started: false,
-            tracer,
-            probe,
+            observer,
             faults,
             churn,
             window,
@@ -339,8 +335,8 @@ impl Network {
     }
 
     fn trace(&self, event: TraceEvent) {
-        if let Some(tracer) = &self.tracer {
-            tracer.borrow_mut().record(self.now, &event);
+        if let Some(observer) = &self.observer {
+            observer.borrow_mut().record_event(self.now, &event);
         }
     }
 
@@ -799,7 +795,7 @@ impl Network {
                 &mut self.packet_counters[node.index()],
                 &self.outgoing_by_node[node.index()],
                 &mut self.scratch,
-                self.probe.as_deref(),
+                self.observer.as_deref(),
             );
             f(logic.as_mut(), &mut ctx);
         }
@@ -1301,13 +1297,13 @@ mod trace_tests {
     use crate::link::LinkSpec;
     use crate::logic::{CbrSource, ForwardLogic};
     use crate::topology::TopologyBuilder;
-    use crate::trace::{CountingTracer, CsvTracer};
+    use crate::trace::{CountingObserver, CsvTracer};
 
     #[test]
     fn counting_tracer_sees_all_event_kinds() {
-        let tracer = Rc::new(RefCell::new(CountingTracer::default()));
+        let tracer = Rc::new(RefCell::new(CountingObserver::default()));
         let mut b = TopologyBuilder::new(3);
-        b.tracer(tracer.clone());
+        b.observer(tracer.clone());
         // Overdriven link: enqueues, drops, deliveries and loss controls.
         let src = b.node("src", |_| Box::new(CbrSource::new(900.0)));
         let dst = b.node("dst", |_| Box::new(ForwardLogic));
@@ -1341,7 +1337,7 @@ mod trace_tests {
     fn csv_tracer_produces_parseable_rows() {
         let tracer = Rc::new(RefCell::new(CsvTracer::new(Vec::new())));
         let mut b = TopologyBuilder::new(3);
-        b.tracer(tracer.clone());
+        b.observer(tracer.clone());
         let src = b.node("src", |_| Box::new(CbrSource::new(50.0)));
         let dst = b.node("dst", |_| Box::new(ForwardLogic));
         b.link(
@@ -1386,17 +1382,20 @@ mod fault_tests {
     use crate::logic::{CbrSource, Ctx, ForwardLogic, RouterLogic};
     use crate::packet::Marker;
     use crate::topology::TopologyBuilder;
-    use crate::trace::CountingTracer;
+    use crate::trace::CountingObserver;
 
     fn fast_link() -> LinkSpec {
         LinkSpec::new(4_000_000, SimDuration::from_millis(40), 40)
     }
 
     /// src --> mid --> dst with a CBR source and an installed fault plan.
-    fn faulty_chain(rate: f64, plan: FaultPlan) -> (Network, FlowId, Rc<RefCell<CountingTracer>>) {
-        let tracer = Rc::new(RefCell::new(CountingTracer::default()));
+    fn faulty_chain(
+        rate: f64,
+        plan: FaultPlan,
+    ) -> (Network, FlowId, Rc<RefCell<CountingObserver>>) {
+        let tracer = Rc::new(RefCell::new(CountingObserver::default()));
         let mut b = TopologyBuilder::new(11);
-        b.tracer(tracer.clone());
+        b.observer(tracer.clone());
         b.faults(plan);
         let src = b.node("src", move |_| Box::new(CbrSource::new(rate)));
         let mid = b.node("mid", |_| Box::new(ForwardLogic));

@@ -46,10 +46,10 @@
 //! injected events re-sort by `(time, key)` in the receiving wheel.
 //! Float-order hazards (churn completion sums) are sidestepped by
 //! logging raw completions and replaying them in canonical order at
-//! merge time ([`CompletionRecord`]). Probe and trace streams are
-//! captured per shard with `(event time, event key, intra-event seq)`
-//! tags and merged by sorting on that key, which *is* the serial
-//! emission order.
+//! merge time ([`CompletionRecord`]). Observed records — packet events
+//! and samples in one log — are captured per shard with `(event time,
+//! event key, intra-event seq)` tags and merged by sorting on that key,
+//! which *is* the serial emission order, interleaving included.
 //!
 //! Threading in this module is the sanctioned exception to the
 //! `thread-spawn` simlint rule: determinism is proven by the
@@ -69,9 +69,9 @@ use crate::logic::LogicReport;
 use crate::monitor::{FlowReport, LinkReport, SimReport};
 use crate::network::{Event, EventCursor, Network, ShardView};
 use crate::slab::DenseMap;
-use crate::telemetry::{Probe, Sample};
+use crate::telemetry::Sample;
 use crate::topology::TopologyBuilder;
-use crate::trace::{TraceEvent, Tracer};
+use crate::trace::{Observer, TraceEvent};
 
 /// A deterministic assignment of nodes to shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,74 +162,53 @@ impl Partition {
 /// A cross-shard event in a mailbox: `(fire time, canonical key, event)`.
 type Envelope = (SimTime, u64, Event);
 
-/// A captured probe record: merge key (event time, event key,
-/// intra-event sequence) plus the original `record` arguments.
-type ProbeRec = ((SimTime, u64, u64), SimTime, NodeId, Sample);
+/// One observed record, either kind.
+enum Record {
+    Event(TraceEvent),
+    Sample(NodeId, Sample),
+}
 
-/// A captured trace record, keyed like [`ProbeRec`].
-type TraceRec = ((SimTime, u64, u64), SimTime, TraceEvent);
+/// A captured record: merge key (event time, event key, intra-event
+/// sequence), then the record's time and the record itself.
+type Captured = ((SimTime, u64, u64), SimTime, Record);
 
-/// A [`Probe`] that logs records tagged with the shard's event cursor,
-/// for the canonical-order merge.
-struct CaptureProbe {
+/// An [`Observer`] that logs records of both kinds tagged with the
+/// shard's event cursor, for the canonical-order merge.
+struct Capture {
     cursor: EventCursor,
     last: (SimTime, u64),
     intra: u64,
-    log: Vec<ProbeRec>,
+    log: Vec<Captured>,
 }
 
-impl CaptureProbe {
+impl Capture {
     fn new(cursor: EventCursor) -> Self {
-        CaptureProbe {
+        Capture {
             cursor,
             last: (SimTime::ZERO, 0),
             intra: 0,
             log: Vec::new(),
         }
     }
-}
 
-impl Probe for CaptureProbe {
-    fn record(&mut self, now: SimTime, node: NodeId, sample: &Sample) {
+    fn push(&mut self, now: SimTime, record: Record) {
         let cur = self.cursor.get();
         if cur != self.last {
             self.last = cur;
             self.intra = 0;
         }
-        self.log
-            .push(((cur.0, cur.1, self.intra), now, node, *sample));
+        self.log.push(((cur.0, cur.1, self.intra), now, record));
         self.intra += 1;
     }
 }
 
-/// A [`Tracer`] that logs records tagged like [`CaptureProbe`].
-struct CaptureTracer {
-    cursor: EventCursor,
-    last: (SimTime, u64),
-    intra: u64,
-    log: Vec<TraceRec>,
-}
-
-impl CaptureTracer {
-    fn new(cursor: EventCursor) -> Self {
-        CaptureTracer {
-            cursor,
-            last: (SimTime::ZERO, 0),
-            intra: 0,
-            log: Vec::new(),
-        }
+impl Observer for Capture {
+    fn record_event(&mut self, now: SimTime, event: &TraceEvent) {
+        self.push(now, Record::Event(*event));
     }
-}
 
-impl Tracer for CaptureTracer {
-    fn record(&mut self, now: SimTime, event: &TraceEvent) {
-        let cur = self.cursor.get();
-        if cur != self.last {
-            self.last = cur;
-            self.intra = 0;
-        }
-        self.log.push(((cur.0, cur.1, self.intra), now, *event));
-        self.intra += 1;
+    fn record_sample(&mut self, now: SimTime, node: NodeId, sample: &Sample) {
+        self.push(now, Record::Sample(node, *sample));
     }
 }
 
@@ -238,8 +217,7 @@ struct ShardPartial {
     report: SimReport,
     flow_egress: Vec<u32>,
     events: u64,
-    probes: Vec<ProbeRec>,
-    traces: Vec<TraceRec>,
+    captured: Vec<Captured>,
     completions: Vec<CompletionRecord>,
     churn_window: Option<(SimTime, SimTime)>,
 }
@@ -253,11 +231,6 @@ pub struct ShardedOutcome {
     /// sums to more than the serial count because replicated lifecycle
     /// events pop once per shard).
     pub per_shard_events: Vec<u64>,
-    /// Every probe record in canonical (serial) order; replay into a
-    /// real [`Probe`] to reproduce the serial telemetry stream.
-    pub probe_log: Vec<(SimTime, NodeId, Sample)>,
-    /// Every trace record in canonical (serial) order.
-    pub trace_log: Vec<(SimTime, TraceEvent)>,
 }
 
 /// Runs the topology produced by `factory` to `end` on `shards` worker
@@ -265,16 +238,16 @@ pub struct ShardedOutcome {
 ///
 /// `factory` is invoked once per worker (plus once up front for the
 /// partitioner) and must yield identical builders each time — same
-/// seed, same topology, same flow schedule. It must *not* install a
-/// probe or tracer; set `capture_probe` / `capture_trace` instead and
-/// replay [`ShardedOutcome::probe_log`] / [`ShardedOutcome::trace_log`]
-/// after the run.
+/// seed, same topology, same flow schedule. It must *not* install an
+/// observer: pass `observer` instead, and every record the workers
+/// observed is replayed into it after the run in canonical (serial)
+/// order, packet events and samples interleaved exactly as the serial
+/// engine would have delivered them.
 pub fn run_sharded<F>(
     factory: F,
     shards: usize,
     end: SimTime,
-    capture_probe: bool,
-    capture_trace: bool,
+    observer: Option<&RefCell<dyn Observer>>,
 ) -> ShardedOutcome
 where
     F: Fn() -> TopologyBuilder + Sync,
@@ -286,8 +259,9 @@ where
         .collect();
     let barrier = Barrier::new(shards);
     let moved = [AtomicU64::new(0), AtomicU64::new(0)];
+    let capture = observer.is_some();
 
-    let partials: Vec<ShardPartial> = std::thread::scope(|scope| {
+    let mut partials: Vec<ShardPartial> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..shards)
             .map(|me| {
                 let factory = &factory;
@@ -297,16 +271,7 @@ where
                 let moved = &moved;
                 scope.spawn(move || {
                     run_shard(
-                        factory,
-                        partition,
-                        me,
-                        shards,
-                        end,
-                        mailboxes,
-                        barrier,
-                        moved,
-                        capture_probe,
-                        capture_trace,
+                        factory, partition, me, shards, end, mailboxes, barrier, moved, capture,
                     )
                 })
             })
@@ -317,6 +282,21 @@ where
             .collect()
     });
 
+    if let Some(observer) = observer {
+        // The merge key is the serial emission order, across both kinds.
+        let mut captured: Vec<Captured> = partials
+            .iter_mut()
+            .flat_map(|p| std::mem::take(&mut p.captured))
+            .collect();
+        captured.sort_unstable_by_key(|r| r.0);
+        let mut observer = observer.borrow_mut();
+        for (_, now, record) in captured {
+            match record {
+                Record::Event(event) => observer.record_event(now, &event),
+                Record::Sample(node, sample) => observer.record_sample(now, node, &sample),
+            }
+        }
+    }
     merge(partials, &partition)
 }
 
@@ -332,8 +312,7 @@ fn run_shard<F>(
     mailboxes: &[Vec<Mutex<Vec<Envelope>>>],
     barrier: &Barrier,
     moved: &[AtomicU64; 2],
-    capture_probe: bool,
-    capture_trace: bool,
+    capture: bool,
 ) -> ShardPartial
 where
     F: Fn() -> TopologyBuilder + Sync,
@@ -345,16 +324,12 @@ where
         lookahead: partition.lookahead,
     });
     let cursor: EventCursor = Rc::new(Cell::new((SimTime::ZERO, 0)));
-    let probe = capture_probe.then(|| Rc::new(RefCell::new(CaptureProbe::new(cursor.clone()))));
-    if let Some(p) = &probe {
-        builder.probe(p.clone());
-    }
-    let tracer = capture_trace.then(|| Rc::new(RefCell::new(CaptureTracer::new(cursor.clone()))));
-    if let Some(t) = &tracer {
-        builder.tracer(t.clone());
+    let observer = capture.then(|| Rc::new(RefCell::new(Capture::new(cursor.clone()))));
+    if let Some(o) = &observer {
+        builder.observer(o.clone());
     }
     let mut net = builder.build();
-    if capture_probe || capture_trace {
+    if capture {
         net.install_cursor(cursor);
     }
 
@@ -391,11 +366,8 @@ where
         report,
         flow_egress,
         events,
-        probes: probe
-            .map(|p| std::mem::take(&mut p.borrow_mut().log))
-            .unwrap_or_default(),
-        traces: tracer
-            .map(|t| std::mem::take(&mut t.borrow_mut().log))
+        captured: observer
+            .map(|o| std::mem::take(&mut o.borrow_mut().log))
             .unwrap_or_default(),
         completions,
         churn_window,
@@ -445,7 +417,8 @@ fn exchange(
 /// delivery, link source owner for link counters, node owner for logic
 /// state), summed where serial accounting sums over nodes (drops, event
 /// counts), or replayed in canonical order where float accumulation is
-/// order-sensitive (churn completions, probe/trace streams).
+/// order-sensitive (churn completions; the observed records are replayed
+/// by [`run_sharded`] itself).
 fn merge(mut partials: Vec<ShardPartial>, partition: &Partition) -> ShardedOutcome {
     let per_shard_events: Vec<u64> = partials.iter().map(|p| p.events).collect();
     let owner = |node: u32| partition.shard_of_node[node as usize] as usize;
@@ -516,17 +489,6 @@ fn merge(mut partials: Vec<ShardPartial>, partition: &Partition) -> ShardedOutco
         c
     });
 
-    let mut probe_recs: Vec<ProbeRec> = partials
-        .iter_mut()
-        .flat_map(|p| std::mem::take(&mut p.probes))
-        .collect();
-    probe_recs.sort_unstable_by_key(|r| r.0);
-    let mut trace_recs: Vec<TraceRec> = partials
-        .iter_mut()
-        .flat_map(|p| std::mem::take(&mut p.traces))
-        .collect();
-    trace_recs.sort_unstable_by_key(|r| r.0);
-
     ShardedOutcome {
         report: SimReport {
             end: partials[0].report.end,
@@ -537,11 +499,6 @@ fn merge(mut partials: Vec<ShardPartial>, partition: &Partition) -> ShardedOutco
             churn,
         },
         per_shard_events,
-        probe_log: probe_recs
-            .into_iter()
-            .map(|(_, t, n, s)| (t, n, s))
-            .collect(),
-        trace_log: trace_recs.into_iter().map(|(_, t, e)| (t, e)).collect(),
     }
 }
 

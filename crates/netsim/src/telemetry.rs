@@ -1,14 +1,15 @@
-//! Control-plane telemetry: epoch-grained introspection probes.
+//! Control-plane telemetry: epoch-grained introspection samples.
 //!
-//! The packet-level [`Tracer`](crate::trace::Tracer) sees every data-plane
-//! event; it is blind to the *control plane* — the congestion-detector and
-//! selector scalars (`q_avg`, `r_av`, `w_av`, `p_w`) and the per-flow rate
-//! machinery (`b_g`, the phase machine, the per-epoch feedback maximum
-//! `m(f)`) whose evolution is what a rate-control scheme actually is. A
-//! [`Probe`] installed via
-//! [`TopologyBuilder::probe`](crate::topology::TopologyBuilder::probe)
-//! receives named per-epoch [`Sample`]s published by router logic through
-//! [`Ctx::publish`](crate::logic::Ctx::publish).
+//! Packet events show the data plane; they are blind to the *control
+//! plane* — the congestion-detector and selector scalars (`q_avg`,
+//! `r_av`, `w_av`, `p_w`) and the per-flow rate machinery (`b_g`, the
+//! phase machine, the per-epoch feedback maximum `m(f)`) whose evolution
+//! is what a rate-control scheme actually is. Router logic publishes
+//! these as named per-epoch [`Sample`]s through
+//! [`Ctx::publish`](crate::logic::Ctx::publish); they reach the run's
+//! [`Observer`](crate::trace::Observer) through
+//! [`record_sample`](crate::trace::Observer::record_sample), interleaved
+//! with the packet events in simulation order.
 //!
 //! # The zero-allocation contract
 //!
@@ -17,16 +18,16 @@
 //!
 //! * [`Sample`] is `Copy` and its name is a `&'static str` — building one
 //!   never touches the heap;
-//! * [`Ctx::publish`](crate::logic::Ctx::publish) with no probe installed
-//!   is a single `Option` check — a disabled run performs zero extra work
-//!   and zero allocations per event;
+//! * [`Ctx::publish`](crate::logic::Ctx::publish) with no observer
+//!   installed is a single `Option` check — an unobserved run performs
+//!   zero extra work and zero allocations per event;
 //! * [`RingProbe`] records into a buffer preallocated at construction,
 //!   overwriting the oldest sample (and counting the loss) once full.
 //!
 //! The contract is enforced twice: the `hot-alloc` simlint rule covers
-//! this module's `record` path statically, and
+//! this module's `record_sample` path statically, and
 //! `crates/netsim/tests/zero_alloc.rs` pins it with a counting global
-//! allocator, probe installed and publishing.
+//! allocator, observer installed and publishing.
 //!
 //! Exporting ([`RingProbe::to_jsonl`], [`RingProbe::series`]) runs after
 //! the simulation and may allocate freely.
@@ -37,6 +38,7 @@ use sim_core::stats::TimeSeries;
 use sim_core::time::SimTime;
 
 use crate::ids::{FlowId, LinkId, NodeId};
+use crate::trace::Observer;
 
 /// One named control-plane measurement published by router logic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,30 +122,8 @@ impl ProbeRecord {
     }
 }
 
-/// Observes control-plane samples in publication order.
-///
-/// The epoch-grained analogue of [`Tracer`](crate::trace::Tracer):
-/// implementations must not allocate in [`record`](Probe::record) if they
-/// are to preserve the engine's zero-alloc contract.
-pub trait Probe {
-    /// Called for every published sample, in non-decreasing time order.
-    fn record(&mut self, now: SimTime, node: NodeId, sample: &Sample);
-}
-
-/// Counts published samples — the cheapest possible probe, for tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CountingProbe {
-    /// Samples published so far.
-    pub samples: u64,
-}
-
-impl Probe for CountingProbe {
-    fn record(&mut self, _now: SimTime, _node: NodeId, _sample: &Sample) {
-        self.samples += 1;
-    }
-}
-
-/// A probe recording into a preallocated ring buffer.
+/// An observer recording samples into a preallocated ring buffer
+/// (packet events are ignored).
 ///
 /// Recording never allocates: the backing storage is reserved at
 /// construction, and once `capacity` records have been written the oldest
@@ -236,8 +216,8 @@ impl RingProbe {
     }
 }
 
-impl Probe for RingProbe {
-    fn record(&mut self, now: SimTime, node: NodeId, sample: &Sample) {
+impl Observer for RingProbe {
+    fn record_sample(&mut self, now: SimTime, node: NodeId, sample: &Sample) {
         let record = ProbeRecord {
             time: now,
             node,
@@ -269,7 +249,7 @@ mod tests {
     fn ring_records_in_order_until_capacity() {
         let mut p = RingProbe::with_capacity(8);
         for i in 0..5 {
-            p.record(t(i as f64), NodeId::from_index(0), &sample("x", i as f64));
+            p.record_sample(t(i as f64), NodeId::from_index(0), &sample("x", i as f64));
         }
         assert_eq!(p.len(), 5);
         assert_eq!(p.dropped(), 0);
@@ -281,7 +261,7 @@ mod tests {
     fn ring_overwrites_oldest_when_full() {
         let mut p = RingProbe::with_capacity(3);
         for i in 0..5 {
-            p.record(t(i as f64), NodeId::from_index(0), &sample("x", i as f64));
+            p.record_sample(t(i as f64), NodeId::from_index(0), &sample("x", i as f64));
         }
         assert_eq!(p.len(), 3);
         assert_eq!(p.dropped(), 2);
@@ -296,10 +276,10 @@ mod tests {
         let n1 = NodeId::from_index(1);
         let f0 = FlowId::from_index(0);
         let l2 = LinkId::from_index(2);
-        p.record(t(1.0), n0, &Sample::for_flow("b_g", f0, 10.0));
-        p.record(t(1.0), n1, &Sample::for_link("q_avg", l2, 3.0));
-        p.record(t(2.0), n0, &Sample::for_flow("b_g", f0, 12.0));
-        p.record(t(2.0), n0, &sample("other", 99.0));
+        p.record_sample(t(1.0), n0, &Sample::for_flow("b_g", f0, 10.0));
+        p.record_sample(t(1.0), n1, &Sample::for_link("q_avg", l2, 3.0));
+        p.record_sample(t(2.0), n0, &Sample::for_flow("b_g", f0, 12.0));
+        p.record_sample(t(2.0), n0, &sample("other", 99.0));
         let bg = p.series("b_g", Some(n0), Some(f0), None);
         assert_eq!(bg.len(), 2);
         assert_eq!(bg.last_value(), Some(12.0));
@@ -311,12 +291,12 @@ mod tests {
     #[test]
     fn jsonl_is_stable_and_parseable_shaped() {
         let mut p = RingProbe::with_capacity(4);
-        p.record(
+        p.record_sample(
             t(1.5),
             NodeId::from_index(3),
             &Sample::for_link("q_avg", LinkId::from_index(2), 0.25),
         );
-        p.record(
+        p.record_sample(
             t(2.0),
             NodeId::from_index(1),
             &Sample::for_flow("b_g", FlowId::from_index(0), 42.0),
@@ -337,9 +317,9 @@ mod tests {
 
     #[test]
     fn counting_probe_counts() {
-        let mut p = CountingProbe::default();
-        p.record(t(0.0), NodeId::from_index(0), &sample("x", 1.0));
-        p.record(t(1.0), NodeId::from_index(0), &sample("x", 2.0));
+        let mut p = crate::trace::CountingObserver::default();
+        p.record_sample(t(0.0), NodeId::from_index(0), &sample("x", 1.0));
+        p.record_sample(t(1.0), NodeId::from_index(0), &sample("x", 2.0));
         assert_eq!(p.samples, 2);
     }
 

@@ -10,8 +10,7 @@ use crate::ids::{FlowId, LinkId, NodeId};
 use crate::link::{Link, LinkSpec};
 use crate::logic::RouterLogic;
 use crate::network::{DispatchMode, ExecRole, Network, ShardView};
-use crate::telemetry::Probe;
-use crate::trace::Tracer;
+use crate::trace::Observer;
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -43,8 +42,7 @@ pub struct TopologyBuilder {
     flow_specs: Vec<FlowSpec>,
     window: SimDuration,
     notify_losses: bool,
-    tracer: Option<Rc<RefCell<dyn Tracer>>>,
-    probe: Option<Rc<RefCell<dyn Probe>>>,
+    observer: Option<Rc<RefCell<dyn Observer>>>,
     faults: FaultPlan,
     churn: Option<ChurnSpec>,
     queue_backend: QueueBackend,
@@ -64,8 +62,7 @@ impl TopologyBuilder {
             flow_specs: Vec::new(),
             window: SimDuration::from_secs(1),
             notify_losses: true,
-            tracer: None,
-            probe: None,
+            observer: None,
             faults: FaultPlan::default(),
             churn: None,
             queue_backend: QueueBackend::Wheel,
@@ -173,18 +170,11 @@ impl TopologyBuilder {
         self
     }
 
-    /// Installs a packet-level event tracer (see [`crate::trace`]). Keep
-    /// a clone of the `Rc` to inspect the tracer after the run.
-    pub fn tracer(&mut self, tracer: Rc<RefCell<dyn Tracer>>) -> &mut Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// Installs a control-plane telemetry probe (see
-    /// [`crate::telemetry`]). Keep a clone of the `Rc` to inspect the
-    /// collected samples after the run.
-    pub fn probe(&mut self, probe: Rc<RefCell<dyn Probe>>) -> &mut Self {
-        self.probe = Some(probe);
+    /// Installs the run's observer (see [`crate::trace`]): it receives
+    /// every packet event and every control-plane sample, in simulation
+    /// order. Keep a clone of the `Rc` to inspect it after the run.
+    pub fn observer(&mut self, observer: Rc<RefCell<dyn Observer>>) -> &mut Self {
+        self.observer = Some(observer);
         self
     }
 
@@ -240,8 +230,7 @@ impl TopologyBuilder {
             flow_specs,
             window,
             notify_losses,
-            tracer,
-            probe,
+            observer,
             faults,
             churn,
             queue_backend,
@@ -380,8 +369,7 @@ impl TopologyBuilder {
             reverse_delays,
             window,
             notify_losses,
-            tracer,
-            probe,
+            observer,
             faults,
             churn,
             queue_backend,

@@ -1,15 +1,27 @@
-//! Structured event tracing.
+//! The run observer: one sink for packet events and control-plane
+//! samples.
 //!
-//! A [`Tracer`] installed via
-//! [`TopologyBuilder::tracer`](crate::topology::TopologyBuilder::tracer)
-//! observes every packet-level event the network processes — emissions,
-//! hop-by-hop forwarding, drops, deliveries and control messages — in
-//! simulation order. Use it to debug router logic or to export
-//! packet-level traces for external analysis.
+//! An [`Observer`] installed via
+//! [`TopologyBuilder::observer`](crate::topology::TopologyBuilder::observer)
+//! receives two kinds of record, interleaved in simulation order:
 //!
-//! Two implementations ship with the crate: [`CsvTracer`] writes one CSV
-//! row per event to any [`std::io::Write`]; [`CountingTracer`] merely
-//! tallies event kinds (cheap enough to leave on in tests).
+//! * every packet-level [`TraceEvent`] the network processes —
+//!   enqueues, drops, deliveries, control messages and faults — through
+//!   [`Observer::record_event`];
+//! * every control-plane [`Sample`] router logic publishes through
+//!   [`Ctx::publish`](crate::logic::Ctx::publish) (see
+//!   [`telemetry`](crate::telemetry)) through [`Observer::record_sample`].
+//!
+//! Both methods default to no-ops, so a sink implements only the kind it
+//! wants. Because the two kinds share one stream, a sink sees the
+//! markers a core forwards and the per-epoch selector state (`r_av`,
+//! `w_av`, `p_w`) that decides their feedback in the order they
+//! happened.
+//!
+//! Implementations shipped with the crate: [`CsvTracer`] writes one CSV
+//! row per packet event to any [`std::io::Write`]; [`CountingObserver`]
+//! merely tallies record kinds (cheap enough to leave on in tests);
+//! [`RingProbe`](crate::telemetry::RingProbe) keeps the samples.
 
 use std::io::Write;
 
@@ -17,6 +29,7 @@ use sim_core::time::SimTime;
 
 use crate::ids::{FlowId, LinkId, NodeId, PacketId};
 use crate::logic::DropReason;
+use crate::telemetry::Sample;
 
 /// One packet-level event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,7 +86,7 @@ pub enum TraceEvent {
     },
 }
 
-/// The kinds of injected fault a tracer can observe.
+/// The kinds of injected fault an observer can see.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// A control message was discarded in transit.
@@ -101,16 +114,30 @@ impl TraceEvent {
     }
 }
 
-/// Observes packet-level events in simulation order.
-pub trait Tracer {
-    /// Called for every traced event, in non-decreasing time order.
-    fn record(&mut self, now: SimTime, event: &TraceEvent);
+/// Observes a run's records in simulation order.
+///
+/// Records arrive in non-decreasing time order, packet events and
+/// samples interleaved as the engine produced them. Implementations must
+/// not allocate in [`record_sample`](Observer::record_sample) if they are
+/// to preserve the engine's zero-alloc contract (see
+/// [`telemetry`](crate::telemetry)).
+pub trait Observer {
+    /// Called for every packet-level event.
+    fn record_event(&mut self, now: SimTime, event: &TraceEvent) {
+        let _ = (now, event);
+    }
+
+    /// Called for every control-plane sample, with the node whose logic
+    /// published it.
+    fn record_sample(&mut self, now: SimTime, node: NodeId, sample: &Sample) {
+        let _ = (now, node, sample);
+    }
 }
 
-/// Counts events per kind — a zero-configuration tracer for tests and
+/// Counts records per kind — a zero-configuration observer for tests and
 /// quick sanity checks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CountingTracer {
+pub struct CountingObserver {
     /// Packets accepted into link queues.
     pub enqueues: u64,
     /// Packets dropped (any reason).
@@ -121,10 +148,12 @@ pub struct CountingTracer {
     pub controls: u64,
     /// Faults injected.
     pub faults: u64,
+    /// Control-plane samples published.
+    pub samples: u64,
 }
 
-impl Tracer for CountingTracer {
-    fn record(&mut self, _now: SimTime, event: &TraceEvent) {
+impl Observer for CountingObserver {
+    fn record_event(&mut self, _now: SimTime, event: &TraceEvent) {
         match event {
             TraceEvent::Enqueue { .. } => self.enqueues += 1,
             TraceEvent::Drop { .. } => self.drops += 1,
@@ -133,9 +162,14 @@ impl Tracer for CountingTracer {
             TraceEvent::Fault { .. } => self.faults += 1,
         }
     }
+
+    fn record_sample(&mut self, _now: SimTime, _node: NodeId, _sample: &Sample) {
+        self.samples += 1;
+    }
 }
 
-/// Writes one CSV row per event: `time,kind,node,link,packet,flow,extra`.
+/// Writes one CSV row per packet event:
+/// `time,kind,node,link,packet,flow,extra`. Samples are ignored.
 #[derive(Debug)]
 pub struct CsvTracer<W: Write> {
     out: W,
@@ -185,8 +219,8 @@ impl<W: Write> CsvTracer<W> {
     }
 }
 
-impl<W: Write> Tracer for CsvTracer<W> {
-    fn record(&mut self, now: SimTime, event: &TraceEvent) {
+impl<W: Write> Observer for CsvTracer<W> {
+    fn record_event(&mut self, now: SimTime, event: &TraceEvent) {
         let t = now.as_secs_f64();
         let result = match *event {
             TraceEvent::Enqueue {
@@ -254,7 +288,7 @@ mod tests {
     #[test]
     fn csv_tracer_flushes_explicitly_and_on_into_inner() {
         let mut tracer = CsvTracer::new(std::io::BufWriter::new(FlushSink::default()));
-        tracer.record(
+        tracer.record_event(
             SimTime::from_secs(1),
             &TraceEvent::Deliver {
                 node: NodeId::from_index(0),
@@ -277,15 +311,15 @@ mod tests {
 
     #[test]
     fn counting_tracer_tallies_kinds() {
-        let mut t = CountingTracer::default();
+        let mut t = CountingObserver::default();
         let ev = TraceEvent::Deliver {
             node: NodeId::from_index(1),
             packet: PacketId::from_sequence(7),
             flow: FlowId::from_index(0),
         };
-        t.record(SimTime::ZERO, &ev);
-        t.record(SimTime::ZERO, &ev);
-        t.record(
+        t.record_event(SimTime::ZERO, &ev);
+        t.record_event(SimTime::ZERO, &ev);
+        t.record_event(
             SimTime::ZERO,
             &TraceEvent::Drop {
                 node: NodeId::from_index(1),
@@ -303,7 +337,7 @@ mod tests {
     #[test]
     fn csv_tracer_writes_rows() {
         let mut tracer = CsvTracer::new(Vec::new());
-        tracer.record(
+        tracer.record_event(
             SimTime::from_millis(1500),
             &TraceEvent::Enqueue {
                 link: LinkId::from_index(2),
@@ -312,7 +346,7 @@ mod tests {
                 queue_len: 4,
             },
         );
-        tracer.record(
+        tracer.record_event(
             SimTime::from_secs(2),
             &TraceEvent::Control {
                 node: NodeId::from_index(0),

@@ -1,5 +1,5 @@
-//! Engine-level tests of the sharded executor: the merged trace stream
-//! must reproduce the serial tracer's event sequence byte for byte, and
+//! Engine-level tests of the sharded executor: the merged packet-event
+//! stream must reproduce the serial observer's sequence byte for byte, and
 //! the merged report must match the serial report on a topology built
 //! directly from netsim primitives (no scenarios layer involved).
 
@@ -11,17 +11,17 @@ use netsim::link::LinkSpec;
 use netsim::logic::{ForwardLogic, PoissonSource};
 use netsim::shard::run_sharded;
 use netsim::topology::TopologyBuilder;
-use netsim::trace::{TraceEvent, Tracer};
+use netsim::trace::{Observer, TraceEvent};
 use sim_core::time::{SimDuration, SimTime};
 
-/// Collects every trace record in arrival order.
+/// Collects every packet event in arrival order.
 #[derive(Debug, Default)]
 struct VecTracer {
     log: Vec<(SimTime, TraceEvent)>,
 }
 
-impl Tracer for VecTracer {
-    fn record(&mut self, now: SimTime, event: &TraceEvent) {
+impl Observer for VecTracer {
+    fn record_event(&mut self, now: SimTime, event: &TraceEvent) {
         self.log.push((now, *event));
     }
 }
@@ -50,12 +50,12 @@ fn chain() -> TopologyBuilder {
 }
 
 #[test]
-fn sharded_trace_log_matches_serial_tracer() {
+fn sharded_event_stream_matches_serial_observer() {
     let end = SimTime::from_secs(5);
 
     let tracer = Rc::new(RefCell::new(VecTracer::default()));
     let mut b = chain();
-    b.tracer(tracer.clone());
+    b.observer(tracer.clone());
     let mut net = b.build();
     net.run_until(end);
     let serial_report = net.into_report(end);
@@ -63,9 +63,11 @@ fn sharded_trace_log_matches_serial_tracer() {
     assert!(!serial_log.is_empty(), "serial tracer recorded nothing");
 
     for shards in [2usize, 3] {
-        let outcome = run_sharded(chain, shards, end, false, true);
+        let replayed = RefCell::new(VecTracer::default());
+        let outcome = run_sharded(chain, shards, end, Some(&replayed));
         assert_eq!(
-            serial_log, outcome.trace_log,
+            serial_log,
+            replayed.into_inner().log,
             "trace stream diverged at {shards} shards"
         );
         assert_eq!(

@@ -21,7 +21,7 @@ use netsim::flow::FlowSpec;
 use netsim::ids::LinkId;
 use netsim::link::LinkSpec;
 use netsim::logic::{CbrSource, Ctx, ForwardLogic, RouterLogic, TimerKind};
-use netsim::telemetry::{Probe, RingProbe, Sample};
+use netsim::telemetry::{RingProbe, Sample};
 use netsim::topology::TopologyBuilder;
 use netsim::FlowId;
 use sim_core::time::{SimDuration, SimTime};
@@ -212,14 +212,15 @@ fn telemetry_publishing_does_not_allocate() {
     // Same chain as above, but the mid node publishes three samples per
     // 100 ms epoch into a RingProbe that wraps long before the measured
     // window: the telemetry hot path — `Ctx::publish` through
-    // `RingProbe::record`, including the overwrite-oldest branch — must
-    // be as allocation-free as dispatch itself (ISSUE 5).
+    // `RingProbe::record_sample`, including the overwrite-oldest branch,
+    // next to every packet event reaching the observer — must be as
+    // allocation-free as dispatch itself.
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let probe = Rc::new(RefCell::new(RingProbe::with_capacity(1024)));
     let link = LinkSpec::new(4_000_000, SimDuration::from_millis(40), 40);
     let mut b = TopologyBuilder::new(3);
     b.measurement_window(SimDuration::from_secs(10_000));
-    b.probe(probe.clone() as Rc<RefCell<dyn Probe>>);
+    b.observer(probe.clone());
     let src = b.node("src", |_| Box::new(CbrSource::new(200.0)));
     let mid = b.node("mid", |_| Box::new(PublishingForward));
     let dst = b.node("dst", |_| Box::new(ForwardLogic));

@@ -192,8 +192,9 @@ fn main() {
     println!("## Link propagation delay (default config)\n");
     print_header();
     for (label, delay_ms) in [("2 ms", 2u64), ("40 ms (paper)", 40), ("100 ms", 100)] {
-        let link = LinkSpec::new(4_000_000, SimDuration::from_millis(delay_ms), 40);
-        let result = fig5_6(SEED).run_with_link(&Corelite::default(), link);
+        let mut scenario = fig5_6(SEED);
+        scenario.topology.link = LinkSpec::new(4_000_000, SimDuration::from_millis(delay_ms), 40);
+        let result = scenario.run(&Corelite::default());
         print_row(label, &result);
     }
     println!();

@@ -27,13 +27,12 @@ use std::rc::Rc;
 
 use corelite::{CoreliteConfig, SelectorKind};
 use csfq::CsfqConfig;
-use netsim::telemetry::{Probe, RingProbe};
+use netsim::telemetry::RingProbe;
 use scenarios::discipline::{Corelite, Csfq, Discipline};
 use scenarios::report::{
     jain_trajectory, jain_trajectory_markdown, settling_markdown, settling_summary, SettlingRow,
 };
 use scenarios::{fig5_6, ExperimentResult};
-use sim_core::event::QueueBackend;
 use sim_core::time::{SimDuration, SimTime};
 
 const SEED: u64 = 20000; // ICDCS 2000
@@ -120,11 +119,7 @@ fn main() {
     for (name, discipline) in variants() {
         eprintln!("running {} on {}...", name, scenario.name);
         let probe = Rc::new(RefCell::new(RingProbe::with_capacity(PROBE_CAPACITY)));
-        let result = scenario.run_instrumented(
-            discipline.as_ref(),
-            QueueBackend::Wheel,
-            probe.clone() as Rc<RefCell<dyn Probe>>,
-        );
+        let result = scenario.run_observed(discipline.as_ref(), probe.clone());
         let path = format!("{out_dir}/{name}.jsonl");
         std::fs::write(&path, probe.borrow().to_jsonl()).expect("write probe JSONL");
         eprintln!("  {} samples -> {path}", probe.borrow().len());

@@ -5,7 +5,7 @@
 //! speaks the scenario vocabulary — core indices and core-link indices
 //! as used by [`crate::topology::TopologySpec`], times in seconds — and
 //! is translated to simulator identifiers by [`FaultSpec::to_plan`].
-//! The translation leans on a [`crate::runner::Scenario::run_with_link`]
+//! The translation leans on a [`crate::runner::Scenario::run`]
 //! invariant: core routers are built first, so core index `i` is
 //! `NodeId(i)` and topology link index `j` is `LinkId(j)`.
 //!
@@ -110,7 +110,7 @@ impl FaultSpec {
     /// Translates the specification into a simulator [`FaultPlan`],
     /// mapping core index `i` to `NodeId(i)` and topology link index
     /// `j` to `LinkId(j)` (the construction order guaranteed by
-    /// [`Scenario::run_with_link`]).
+    /// [`Scenario::run`]).
     ///
     /// # Panics
     ///

@@ -6,15 +6,15 @@ use std::rc::Rc;
 
 use fairness::maxmin::MaxMinProblem;
 use netsim::flow::FlowSpec;
-use netsim::telemetry::Probe;
 use netsim::topology::TopologyBuilder;
-use netsim::{FlowId, SimReport, Transport};
+use netsim::{DispatchMode, FlowId, Observer, SimReport, Transport};
+use sim_core::event::QueueBackend;
 use sim_core::stats::TimeSeries;
 use sim_core::time::SimTime;
 
 use crate::discipline::Discipline;
 use crate::fault::FaultSpec;
-use crate::topology::{paper_link, CorePath, TopologySpec, LINK_CAPACITY_PPS};
+use crate::topology::{CorePath, TopologySpec, LINK_CAPACITY_PPS};
 use netsim::ChurnSpec;
 use sim_core::time::SimDuration;
 
@@ -153,7 +153,7 @@ impl ScenarioChurn {
 }
 
 /// A complete experiment description: a core topology, the flows
-/// crossing it, and a horizon.
+/// crossing it, a horizon, and how the engine executes it.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Name used in output files and tables.
@@ -174,6 +174,15 @@ pub struct Scenario {
     /// (see [`netsim::shard`]). `1` (the default) runs the serial
     /// engine; any value produces byte-identical results.
     pub shards: usize,
+    /// Event-queue backend (default: the timer wheel). Results are
+    /// byte-identical across backends; the heap is kept for differential
+    /// testing of the engine.
+    pub backend: QueueBackend,
+    /// Transmission-dispatch mode (default: train batching). Results are
+    /// byte-identical across modes; `PerPacket` re-enacts the
+    /// one-TxDone-per-packet schedule for the batched-vs-unbatched
+    /// differential oracles.
+    pub dispatch: DispatchMode,
 }
 
 impl Scenario {
@@ -204,6 +213,8 @@ impl Scenario {
             faults: FaultSpec::default(),
             churn: None,
             shards: 1,
+            backend: QueueBackend::Wheel,
+            dispatch: DispatchMode::Train,
         }
     }
 
@@ -213,8 +224,9 @@ impl Scenario {
         self
     }
 
-    /// Sets the shard count (builder-style); every `run_*` entry point
-    /// then executes on the sharded engine when `shards > 1`.
+    /// Sets the shard count (builder-style); [`run`](Scenario::run) and
+    /// [`run_observed`](Scenario::run_observed) then execute on the
+    /// sharded engine when `shards > 1`.
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         self.shards = shards;
@@ -364,201 +376,83 @@ impl Scenario {
         s.with_churn(churn)
     }
 
-    /// Runs the scenario under `discipline` and collects the results,
-    /// using the paper's 4 Mbps / 40 ms / 40-packet links.
+    /// Runs the scenario under `discipline` and collects the results:
+    /// on the serial engine, or on the sharded one when `shards > 1`.
     pub fn run(&self, discipline: &dyn Discipline) -> ExperimentResult {
-        self.run_with_link(discipline, paper_link())
+        self.execute(discipline, self.sharding(), None).0
     }
 
-    /// Runs the scenario on a specific event-queue backend. Results are
-    /// byte-identical across backends (both deliver events in the same
-    /// order); the knob exists for differential testing of the engine.
-    pub fn run_with_queue(
+    /// Runs the scenario like [`run`](Scenario::run) with `observer`
+    /// installed: it receives every packet event and every control-plane
+    /// sample the disciplines publish (detector `q_avg`, selector
+    /// `r_av`/`w_av`/`p_w`, per-flow `b_g`, CSFQ `alpha`, …), in serial
+    /// order whatever the shard count. Read it back after the run via
+    /// the same `Rc`.
+    pub fn run_observed(
         &self,
         discipline: &dyn Discipline,
-        backend: sim_core::event::QueueBackend,
+        observer: Rc<RefCell<dyn Observer>>,
     ) -> ExperimentResult {
-        self.run_configured(
-            discipline,
-            paper_link(),
-            backend,
-            netsim::DispatchMode::Train,
-            None,
-        )
-    }
-
-    /// Runs the scenario under a specific transmission-dispatch mode.
-    /// [`DispatchMode::Train`](netsim::DispatchMode::Train) (the default
-    /// everywhere else) coalesces back-to-back transmissions into the
-    /// link's departure train; `PerPacket` re-enacts the one-TxDone-per-
-    /// packet schedule. Reports are byte-identical across modes; the
-    /// knob exists for the batched-vs-unbatched differential oracles.
-    pub fn run_with_dispatch(
-        &self,
-        discipline: &dyn Discipline,
-        dispatch: netsim::DispatchMode,
-    ) -> ExperimentResult {
-        self.run_configured(
-            discipline,
-            paper_link(),
-            sim_core::event::QueueBackend::Wheel,
-            dispatch,
-            None,
-        )
-    }
-
-    /// Runs the scenario with a telemetry [`Probe`] installed on every
-    /// node: disciplines publish their per-epoch internals (detector
-    /// `q_avg`, selector `r_av`/`w_av`/`p_w`, per-flow `b_g`, CSFQ
-    /// `alpha`, …) into it as the run progresses. The probe is shared —
-    /// read it back after the run via the same `Rc`.
-    pub fn run_instrumented(
-        &self,
-        discipline: &dyn Discipline,
-        backend: sim_core::event::QueueBackend,
-        probe: Rc<RefCell<dyn Probe>>,
-    ) -> ExperimentResult {
-        self.run_configured(
-            discipline,
-            paper_link(),
-            backend,
-            netsim::DispatchMode::Train,
-            Some(probe),
-        )
-    }
-
-    /// Runs the scenario probed like
-    /// [`run_instrumented`](Scenario::run_instrumented), but under a
-    /// specific transmission-dispatch mode — the telemetry half of the
-    /// batched-vs-unbatched differential oracles.
-    pub fn run_instrumented_dispatch(
-        &self,
-        discipline: &dyn Discipline,
-        dispatch: netsim::DispatchMode,
-        probe: Rc<RefCell<dyn Probe>>,
-    ) -> ExperimentResult {
-        self.run_configured(
-            discipline,
-            paper_link(),
-            sim_core::event::QueueBackend::Wheel,
-            dispatch,
-            Some(probe),
-        )
-    }
-
-    /// Runs the scenario with every link using `link` instead of the
-    /// paper's parameters — the knob behind the latency/capacity
-    /// sensitivity ablations (§4.4 mentions "channels with large
-    /// latencies").
-    pub fn run_with_link(
-        &self,
-        discipline: &dyn Discipline,
-        link: netsim::link::LinkSpec,
-    ) -> ExperimentResult {
-        self.run_configured(
-            discipline,
-            link,
-            sim_core::event::QueueBackend::Wheel,
-            netsim::DispatchMode::Train,
-            None,
-        )
-    }
-
-    fn run_configured(
-        &self,
-        discipline: &dyn Discipline,
-        link: netsim::link::LinkSpec,
-        backend: sim_core::event::QueueBackend,
-        dispatch: netsim::DispatchMode,
-        probe: Option<Rc<RefCell<dyn Probe>>>,
-    ) -> ExperimentResult {
-        if self.shards > 1 {
-            return self
-                .run_sharded_configured(discipline, self.shards, link, backend, dispatch, probe)
-                .0;
-        }
-        let mut b = self.builder_for(discipline, link, backend, dispatch);
-        if let Some(p) = probe {
-            b.probe(p);
-        }
-        let reference = ReferenceSpec::of(discipline, &self.flows);
-        let mut net = b.build();
-        net.run_until(self.horizon);
-        ExperimentResult {
-            scenario: self.clone(),
-            discipline_name: discipline.name(),
-            reference,
-            report: net.into_report(self.horizon),
-        }
+        self.execute(discipline, self.sharding(), Some(observer)).0
     }
 
     /// Runs the scenario on the sharded conservative-parallel engine
-    /// (see [`netsim::shard`]) with the paper's links and default
-    /// backend, returning the merged result — byte-identical to
-    /// [`run`](Scenario::run) — plus the events popped per shard.
+    /// (see [`netsim::shard`]) with `shards` workers, whatever the
+    /// scenario's own `shards`, returning the merged result —
+    /// byte-identical to [`run`](Scenario::run) — plus the events popped
+    /// per shard.
     pub fn run_sharded(
         &self,
         discipline: &dyn Discipline,
         shards: usize,
     ) -> (ExperimentResult, Vec<u64>) {
-        self.run_sharded_configured(
-            discipline,
-            shards,
-            paper_link(),
-            sim_core::event::QueueBackend::Wheel,
-            netsim::DispatchMode::Train,
-            None,
-        )
+        self.execute(discipline, Some(shards), None)
     }
 
-    /// Sharded counterpart of [`run_instrumented`](Scenario::run_instrumented):
-    /// the merged telemetry stream is replayed into `probe` in canonical
-    /// order, so the probe observes the exact serial sample sequence.
-    pub fn run_instrumented_sharded(
-        &self,
-        discipline: &dyn Discipline,
-        shards: usize,
-        probe: Rc<RefCell<dyn Probe>>,
-    ) -> (ExperimentResult, Vec<u64>) {
-        self.run_sharded_configured(
-            discipline,
-            shards,
-            paper_link(),
-            sim_core::event::QueueBackend::Wheel,
-            netsim::DispatchMode::Train,
-            Some(probe),
-        )
+    /// The worker count the scenario asks for, or `None` for the serial
+    /// engine.
+    fn sharding(&self) -> Option<usize> {
+        (self.shards > 1).then_some(self.shards)
     }
 
-    fn run_sharded_configured(
+    /// The one run path: serial when `shards` is `None`, otherwise on the
+    /// sharded engine, which replays what it observed into `observer`.
+    /// Returns the events popped per shard (empty when serial).
+    fn execute(
         &self,
         discipline: &dyn Discipline,
-        shards: usize,
-        link: netsim::link::LinkSpec,
-        backend: sim_core::event::QueueBackend,
-        dispatch: netsim::DispatchMode,
-        probe: Option<Rc<RefCell<dyn Probe>>>,
+        shards: Option<usize>,
+        observer: Option<Rc<RefCell<dyn Observer>>>,
     ) -> (ExperimentResult, Vec<u64>) {
-        let outcome = netsim::shard::run_sharded(
-            || self.builder_for(discipline, link, backend, dispatch),
-            shards,
-            self.horizon,
-            probe.is_some(),
-            false,
-        );
-        if let Some(p) = &probe {
-            let mut p = p.borrow_mut();
-            for (time, node, sample) in &outcome.probe_log {
-                p.record(*time, *node, sample);
+        let scenario = self.clone();
+        let reference = ReferenceSpec::of(discipline, &self.flows);
+        let (report, per_shard) = match shards {
+            None => {
+                let mut b = self.builder_for(discipline);
+                if let Some(o) = observer {
+                    b.observer(o);
+                }
+                let mut net = b.build();
+                net.run_until(self.horizon);
+                (net.into_report(self.horizon), Vec::new())
             }
-        }
-        let result = ExperimentResult {
-            scenario: self.clone(),
-            discipline_name: discipline.name(),
-            reference: ReferenceSpec::of(discipline, &self.flows),
-            report: outcome.report,
+            Some(shards) => {
+                let outcome = netsim::shard::run_sharded(
+                    || self.builder_for(discipline),
+                    shards,
+                    self.horizon,
+                    observer.as_deref(),
+                );
+                (outcome.report, outcome.per_shard_events)
+            }
         };
-        (result, outcome.per_shard_events)
+        let result = ExperimentResult {
+            scenario,
+            discipline_name: discipline.name(),
+            reference,
+            report,
+        };
+        (result, per_shard)
     }
 
     /// Builds the scenario's full topology under `discipline` — the one
@@ -566,16 +460,11 @@ impl Scenario {
     /// sharded executor calls this once per worker; identical inputs
     /// yield identical builders, which the byte-identity of the whole
     /// scheme rests on.
-    fn builder_for(
-        &self,
-        discipline: &dyn Discipline,
-        link: netsim::link::LinkSpec,
-        backend: sim_core::event::QueueBackend,
-        dispatch: netsim::DispatchMode,
-    ) -> TopologyBuilder {
+    fn builder_for(&self, discipline: &dyn Discipline) -> TopologyBuilder {
+        let link = self.topology.link;
         let mut b = TopologyBuilder::new(self.seed);
-        b.queue_backend(backend);
-        b.dispatch_mode(dispatch);
+        b.queue_backend(self.backend);
+        b.dispatch_mode(self.dispatch);
         // The shared core network.
         let cores: Vec<_> = (0..self.topology.core_count)
             .map(|i| b.node(&format!("C{}", i + 1), |s| discipline.core_logic(s)))

@@ -163,8 +163,8 @@ impl From<Route> for CorePath {
 /// Edge routers are not part of the spec — the runner attaches one
 /// ingress and one egress edge per flow, exactly as in the paper's
 /// Figure 2 — so the spec only describes the shared, congestible part of
-/// the network.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// the network, plus the parameters every link (core and access) uses.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologySpec {
     /// Display name, used in scenario banners and error messages.
     pub name: &'static str,
@@ -172,6 +172,10 @@ pub struct TopologySpec {
     pub core_count: usize,
     /// Directed core-to-core links as `(src, dst)` core indices.
     pub links: Vec<(usize, usize)>,
+    /// Parameters of every link, core and access alike: the paper's
+    /// [`paper_link`] by default. The latency/capacity sensitivity
+    /// ablations (§4.4 mentions "channels with large latencies") vary it.
+    pub link: LinkSpec,
 }
 
 impl TopologySpec {
@@ -194,6 +198,7 @@ impl TopologySpec {
             name: "chain",
             core_count: n,
             links: (0..n - 1).map(|i| (i, i + 1)).collect(),
+            link: paper_link(),
         }
     }
 
@@ -249,6 +254,7 @@ impl TopologySpec {
             name: "fat_tree_k",
             core_count: leaves + spines,
             links,
+            link: paper_link(),
         }
     }
 

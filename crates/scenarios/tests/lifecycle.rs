@@ -152,12 +152,11 @@ fn churn_results_are_byte_identical_across_executors_and_backends() {
 
     let corelite = by_name("corelite").unwrap();
     let render_queue = |backend| {
-        format!(
-            "{:?}",
-            churn_scenario(5)
-                .run_with_queue(corelite.as_ref(), backend)
-                .report
-        )
+        let scenario = Scenario {
+            backend,
+            ..churn_scenario(5)
+        };
+        format!("{:?}", scenario.run(corelite.as_ref()).report)
     };
     let wheel = render_queue(QueueBackend::Wheel);
     assert_eq!(
@@ -165,11 +164,10 @@ fn churn_results_are_byte_identical_across_executors_and_backends() {
         render_queue(QueueBackend::Heap),
         "heap backend diverged"
     );
-    let per_packet = format!(
-        "{:?}",
-        churn_scenario(5)
-            .run_with_dispatch(corelite.as_ref(), netsim::DispatchMode::PerPacket)
-            .report
-    );
+    let per_packet = Scenario {
+        dispatch: netsim::DispatchMode::PerPacket,
+        ..churn_scenario(5)
+    };
+    let per_packet = format!("{:?}", per_packet.run(corelite.as_ref()).report);
     assert_eq!(wheel, per_packet, "per-packet dispatch diverged");
 }

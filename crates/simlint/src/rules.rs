@@ -349,10 +349,14 @@ const HOT_FNS: &[&str] = &[
     "resolve",
     "invalidate",
     "gap",
-    // Telemetry: every per-epoch publish lands here; the zero-alloc
-    // contract (ISSUE 5) extends to probe recording.
-    "record",
+    // The run observer: every packet event and every published sample
+    // lands in one of its two methods, so the zero-alloc contract
+    // extends to recording. `record` is CSFQ's per-packet rate-series
+    // push.
+    "record_event",
+    "record_sample",
     "publish",
+    "record",
 ];
 
 /// Collection types whose `<FlowId, …>` instantiation is per-flow state.

@@ -122,3 +122,31 @@ fn transport_sender_fixtures_cover_alloc_state_and_taint() {
     let ok = violations_for("transport_sender_ok");
     assert!(ok.is_empty(), "transport_sender_ok must be clean: {ok:?}");
 }
+
+/// The observer's two record methods are per-event hot functions: an
+/// allocating body in either is flagged in a hot-path module, while the
+/// same allocation in an export helper is not.
+#[test]
+fn allocating_observer_methods_are_flagged() {
+    let v = violations_for("hot_alloc_observer_bad");
+    let src = std::fs::read_to_string(root().join(fixture("hot_alloc_observer_bad")))
+        .expect("fixture must be readable");
+    let line_of = |needle: &str| {
+        src.lines()
+            .position(|l| l.contains(needle))
+            .map(|i| i as u32 + 1)
+            .expect("fixture line present")
+    };
+    for needle in ["vec![kind]", "Box::new(value)"] {
+        let line = line_of(needle);
+        assert!(
+            v.iter().any(|v| v.rule == "hot-alloc" && v.line == line),
+            "allocation on line {line} must be flagged: {v:?}"
+        );
+    }
+    let export = line_of(".to_vec()");
+    assert!(
+        !v.iter().any(|v| v.line == export),
+        "export runs after the simulation: {v:?}"
+    );
+}

@@ -25,12 +25,10 @@ fn main() {
     let fluid_rates = fluid.rates();
 
     // Packet simulator: the ground truth, at packet granularity.
-    let scenario = Scenario {
-        topology: TopologySpec::paper_chain(),
-        faults: Default::default(),
-        churn: None,
-        name: "fluid_vs_packets",
-        flows: weights
+    let scenario = Scenario::on(
+        TopologySpec::paper_chain(),
+        "fluid_vs_packets",
+        weights
             .iter()
             .map(|&w| ScenarioFlow {
                 transport: Default::default(),
@@ -40,10 +38,9 @@ fn main() {
                 activations: vec![(SimTime::ZERO, None)],
             })
             .collect(),
-        horizon: SimTime::from_secs(260),
-        seed: 3,
-        shards: 1,
-    };
+        SimTime::from_secs(260),
+        3,
+    );
     let result = scenario.run(&Corelite::new(CoreliteConfig::default()));
 
     println!("flow  weight  fluid prediction  packet simulation  analytic share");

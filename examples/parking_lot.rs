@@ -39,16 +39,13 @@ fn main() {
             });
         }
     }
-    let scenario = Scenario {
-        topology: TopologySpec::paper_chain(),
-        faults: Default::default(),
-        churn: None,
-        name: "parking_lot",
+    let scenario = Scenario::on(
+        TopologySpec::paper_chain(),
+        "parking_lot",
         flows,
-        horizon: SimTime::from_secs(200),
-        seed: 99,
-        shards: 1,
-    };
+        SimTime::from_secs(200),
+        99,
+    );
 
     // Analytic weighted max-min via water-filling.
     let mut problem = MaxMinProblem::new();

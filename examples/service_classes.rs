@@ -53,12 +53,10 @@ fn main() {
         (Gold, 150),
         (Gold, 150),
     ];
-    let scenario = Scenario {
-        topology: TopologySpec::paper_chain(),
-        faults: Default::default(),
-        churn: None,
-        name: "service_classes",
-        flows: customers
+    let scenario = Scenario::on(
+        TopologySpec::paper_chain(),
+        "service_classes",
+        customers
             .iter()
             .map(|&(class, start)| ScenarioFlow {
                 transport: Default::default(),
@@ -68,10 +66,9 @@ fn main() {
                 activations: vec![(SimTime::from_secs(start), None)],
             })
             .collect(),
-        horizon: SimTime::from_secs(300),
-        seed: 7,
-        shards: 1,
-    };
+        SimTime::from_secs(300),
+        7,
+    );
     let result = scenario.run(&Corelite::new(CoreliteConfig::default()));
 
     let phase = |label: &str, from: u64, to: u64| {

@@ -1,6 +1,7 @@
-//! Packet-level tracing for debugging router logic: attach a
-//! [`CsvTracer`](netsim::trace::CsvTracer) to a run and inspect every
-//! enqueue, drop, delivery and control message in simulation order.
+//! Packet-level tracing for debugging router logic: install one
+//! [`Observer`] that writes every enqueue, drop, delivery and control
+//! message as a [`CsvTracer`] row, in simulation order, and tallies the
+//! control-plane samples the routers publish in the same stream.
 //!
 //! ```text
 //! cargo run --release -p scenarios --example trace_debugging
@@ -13,18 +14,40 @@ use corelite::{CoreliteConfig, CoreliteCore, CoreliteEdge};
 use netsim::flow::FlowSpec;
 use netsim::link::LinkSpec;
 use netsim::logic::ForwardLogic;
+use netsim::telemetry::Sample;
 use netsim::topology::TopologyBuilder;
-use netsim::trace::{CountingTracer, CsvTracer};
+use netsim::trace::{CountingObserver, CsvTracer, Observer, TraceEvent};
+use netsim::NodeId;
 use sim_core::time::{SimDuration, SimTime};
 
+/// One observer, two jobs: CSV rows for the packet events, and a tally
+/// of every record kind, samples included.
+struct Debugger {
+    csv: CsvTracer<Vec<u8>>,
+    counts: CountingObserver,
+}
+
+impl Observer for Debugger {
+    fn record_event(&mut self, now: SimTime, event: &TraceEvent) {
+        self.csv.record_event(now, event);
+        self.counts.record_event(now, event);
+    }
+
+    fn record_sample(&mut self, now: SimTime, node: NodeId, sample: &Sample) {
+        self.counts.record_sample(now, node, sample);
+    }
+}
+
 fn main() {
-    // A short congested run with the CSV tracer capturing everything.
+    // A short congested run with the observer capturing everything.
     let cfg = CoreliteConfig::default();
-    let tracer = Rc::new(RefCell::new(CsvTracer::new(Vec::new())));
-    let counter = Rc::new(RefCell::new(CountingTracer::default()));
+    let debugger = Rc::new(RefCell::new(Debugger {
+        csv: CsvTracer::new(Vec::new()),
+        counts: CountingObserver::default(),
+    }));
 
     let mut b = TopologyBuilder::new(5);
-    b.tracer(tracer.clone());
+    b.observer(debugger.clone());
     let e1 = b.node("edge1", |s| Box::new(CoreliteEdge::new(s, cfg.clone())));
     let e2 = b.node("edge2", |s| Box::new(CoreliteEdge::new(s, cfg.clone())));
     let core = b.node("core", |s| Box::new(CoreliteCore::new(s, cfg.clone())));
@@ -45,9 +68,12 @@ fn main() {
     net.run_until(end);
     let report = net.into_report(end);
 
-    let rows = tracer.borrow().rows();
-    let csv_tracer = Rc::try_unwrap(tracer).expect("sole owner").into_inner();
-    let text = String::from_utf8(csv_tracer.into_inner()).expect("utf8 trace");
+    let Debugger { csv, counts } = Rc::try_unwrap(debugger)
+        .ok()
+        .expect("sole owner")
+        .into_inner();
+    let rows = csv.rows();
+    let text = String::from_utf8(csv.into_inner()).expect("utf8 trace");
 
     println!("captured {rows} packet-level events; first 12 rows:\n");
     for line in text.lines().take(13) {
@@ -69,8 +95,7 @@ fn main() {
             .sum::<u64>(),
     );
     println!(
-        "\nPipe the CSV into your own tooling, or attach a CountingTracer\n\
-         ({:?}) when only totals matter.",
-        *counter.borrow()
+        "\nPipe the CSV into your own tooling, or install a CountingObserver\n\
+         ({counts:?}) when only totals matter."
     );
 }

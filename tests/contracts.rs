@@ -11,12 +11,10 @@ use scenarios::topology::{Route, TopologySpec};
 use sim_core::time::SimTime;
 
 fn contract_scenario(contract: f64, seed: u64) -> Scenario {
-    Scenario {
-        topology: TopologySpec::paper_chain(),
-        faults: Default::default(),
-        churn: None,
-        name: "contracts",
-        flows: vec![
+    Scenario::on(
+        TopologySpec::paper_chain(),
+        "contracts",
+        vec![
             // The contracted flow (weight 1).
             ScenarioFlow {
                 transport: Default::default(),
@@ -48,10 +46,9 @@ fn contract_scenario(contract: f64, seed: u64) -> Scenario {
                 activations: vec![(SimTime::ZERO, None)],
             },
         ],
-        horizon: SimTime::from_secs(120),
+        SimTime::from_secs(120),
         seed,
-        shards: 1,
-    }
+    )
 }
 
 fn steady(result: &scenarios::ExperimentResult, i: usize) -> f64 {

@@ -9,12 +9,10 @@ use scenarios::topology::{Route, TopologySpec};
 use sim_core::time::SimTime;
 
 fn scenario(weights: &[u32], horizon: u64, seed: u64) -> Scenario {
-    Scenario {
-        topology: TopologySpec::paper_chain(),
-        faults: Default::default(),
-        churn: None,
-        name: "csfq_baseline",
-        flows: weights
+    Scenario::on(
+        TopologySpec::paper_chain(),
+        "csfq_baseline",
+        weights
             .iter()
             .map(|&w| ScenarioFlow {
                 transport: Default::default(),
@@ -24,10 +22,9 @@ fn scenario(weights: &[u32], horizon: u64, seed: u64) -> Scenario {
                 activations: vec![(SimTime::ZERO, None)],
             })
             .collect(),
-        horizon: SimTime::from_secs(horizon),
+        SimTime::from_secs(horizon),
         seed,
-        shards: 1,
-    }
+    )
 }
 
 #[test]
@@ -66,12 +63,10 @@ fn csfq_relabels_so_downstream_links_see_capped_labels() {
     // its fair share, so the downstream router's running estimates stay
     // meaningful. Observable end-to-end: a two-hop flow still gets a
     // weighted-fair allocation.
-    let scenario = Scenario {
-        topology: TopologySpec::paper_chain(),
-        faults: Default::default(),
-        churn: None,
-        name: "csfq_two_hop",
-        flows: vec![
+    let scenario = Scenario::on(
+        TopologySpec::paper_chain(),
+        "csfq_two_hop",
+        vec![
             ScenarioFlow {
                 transport: Default::default(),
                 path: Route::new(0, 2).into(), // crosses C1-C2 and C2-C3
@@ -94,10 +89,9 @@ fn csfq_relabels_so_downstream_links_see_capped_labels() {
                 activations: vec![(SimTime::ZERO, None)],
             },
         ],
-        horizon: SimTime::from_secs(200),
-        seed: 33,
-        shards: 1,
-    };
+        SimTime::from_secs(200),
+        33,
+    );
     let result = scenario.run(&Csfq::new(CsfqConfig::default()));
     let rates: Vec<f64> = (0..3)
         .map(|i| result.mean_rate_in(i, SimTime::from_secs(150), SimTime::from_secs(200)))

@@ -11,12 +11,10 @@ use scenarios::topology::{Route, TopologySpec};
 use sim_core::time::SimTime;
 
 fn scenario(seed: u64) -> Scenario {
-    Scenario {
-        topology: TopologySpec::paper_chain(),
-        faults: Default::default(),
-        churn: None,
-        name: "delay",
-        flows: (0..6)
+    Scenario::on(
+        TopologySpec::paper_chain(),
+        "delay",
+        (0..6)
             .map(|i| ScenarioFlow {
                 transport: Default::default(),
                 path: Route::new(0, 1).into(),
@@ -25,10 +23,9 @@ fn scenario(seed: u64) -> Scenario {
                 activations: vec![(SimTime::ZERO, None)],
             })
             .collect(),
-        horizon: SimTime::from_secs(120),
+        SimTime::from_secs(120),
         seed,
-        shards: 1,
-    }
+    )
 }
 
 /// Path: ingress → C1 → C2 → egress = 3 links of 40 ms propagation plus

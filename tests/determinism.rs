@@ -6,33 +6,24 @@ use std::rc::Rc;
 
 use corelite::CoreliteConfig;
 use fairness::metrics::jain_index;
-use netsim::telemetry::{Probe, RingProbe};
+use netsim::telemetry::RingProbe;
 use scenarios::discipline::Corelite;
 use scenarios::exec::{run_parallel, run_serial};
 use scenarios::runner::{Scenario, ScenarioFlow};
 use scenarios::topology::{Route, TopologySpec};
-use sim_core::event::QueueBackend;
 use sim_core::time::SimTime;
 
 fn scenario(seed: u64) -> Scenario {
-    Scenario {
-        topology: TopologySpec::paper_chain(),
-        faults: Default::default(),
-        churn: None,
-        name: "determinism",
-        flows: (0..4)
-            .map(|i| ScenarioFlow {
-                transport: Default::default(),
-                path: Route::new(0, 1).into(),
-                weight: i % 2 + 1,
-                min_rate: 0.0,
-                activations: vec![(SimTime::ZERO, None)],
-            })
-            .collect(),
-        horizon: SimTime::from_secs(60),
+    let flows = (0..4)
+        .map(|i| ScenarioFlow::best_effort(Route::new(0, 1), i % 2 + 1, SimTime::ZERO))
+        .collect();
+    Scenario::on(
+        TopologySpec::paper_chain(),
+        "determinism",
+        flows,
+        SimTime::from_secs(60),
         seed,
-        shards: 1,
-    }
+    )
 }
 
 #[test]
@@ -76,11 +67,7 @@ fn different_seeds_differ_but_agree_on_fairness() {
 /// rendered string.
 fn probe_stream(seed: u64) -> String {
     let probe = Rc::new(RefCell::new(RingProbe::with_capacity(1 << 16)));
-    scenario(seed).run_instrumented(
-        &Corelite::new(CoreliteConfig::default()),
-        QueueBackend::Wheel,
-        probe.clone() as Rc<RefCell<dyn Probe>>,
-    );
+    scenario(seed).run_observed(&Corelite::new(CoreliteConfig::default()), probe.clone());
     let jsonl = probe.borrow().to_jsonl();
     assert!(!jsonl.is_empty(), "probe recorded nothing");
     jsonl
@@ -108,11 +95,8 @@ fn probe_installation_does_not_change_the_simulation() {
     // gated on `probe_enabled` for the same reason.)
     let bare = scenario(99).run(&Corelite::new(CoreliteConfig::default()));
     let probe = Rc::new(RefCell::new(RingProbe::with_capacity(1 << 16)));
-    let probed = scenario(99).run_instrumented(
-        &Corelite::new(CoreliteConfig::default()),
-        QueueBackend::Wheel,
-        probe.clone() as Rc<RefCell<dyn Probe>>,
-    );
+    let probed =
+        scenario(99).run_observed(&Corelite::new(CoreliteConfig::default()), probe.clone());
     assert_eq!(bare.report.events_processed, probed.report.events_processed);
     assert_eq!(format!("{:?}", bare.report), format!("{:?}", probed.report));
     assert!(!probe.borrow().is_empty());

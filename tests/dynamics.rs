@@ -13,12 +13,10 @@ use sim_core::time::SimTime;
 /// lead-in gives the residents time to reach their 167/333 pkt/s shares
 /// at the paper's +α-per-epoch linear increase.
 fn join_leave(seed: u64) -> Scenario {
-    Scenario {
-        topology: TopologySpec::paper_chain(),
-        faults: Default::default(),
-        churn: None,
-        name: "join_leave",
-        flows: vec![
+    Scenario::on(
+        TopologySpec::paper_chain(),
+        "join_leave",
+        vec![
             ScenarioFlow {
                 transport: Default::default(),
                 path: Route::new(0, 1).into(),
@@ -41,10 +39,9 @@ fn join_leave(seed: u64) -> Scenario {
                 activations: vec![(SimTime::from_secs(200), Some(SimTime::from_secs(280)))],
             },
         ],
-        horizon: SimTime::from_secs(420),
+        SimTime::from_secs(420),
         seed,
-        shards: 1,
-    }
+    )
 }
 
 fn phase_rates(result: &scenarios::ExperimentResult, from: u64, to: u64) -> Vec<f64> {

@@ -16,9 +16,9 @@ use csfq::{CsfqConfig, CsfqEdge};
 use netsim::churn::ChurnSpec;
 use netsim::flow::FlowSpec;
 use netsim::link::LinkSpec;
-use netsim::logic::{ForwardLogic, RouterLogic};
+use netsim::logic::{CbrSource, ForwardLogic, RouterLogic};
 use netsim::topology::TopologyBuilder;
-use netsim::trace::{TraceEvent, Tracer};
+use netsim::trace::{Observer, TraceEvent};
 use sim_core::time::{SimDuration, SimTime};
 
 /// Emission instants: the times packets enter the edge's outgoing link.
@@ -26,8 +26,8 @@ struct Emissions {
     log: Rc<RefCell<Vec<SimTime>>>,
 }
 
-impl Tracer for Emissions {
-    fn record(&mut self, now: SimTime, event: &TraceEvent) {
+impl Observer for Emissions {
+    fn record_event(&mut self, now: SimTime, event: &TraceEvent) {
         if matches!(event, TraceEvent::Enqueue { .. }) {
             self.log.borrow_mut().push(now);
         }
@@ -58,7 +58,7 @@ fn emissions_after_stop(edge: MakeEdge) -> Vec<SimTime> {
             .active(RESTART, None),
     );
     let log = Rc::new(RefCell::new(Vec::new()));
-    b.tracer(Rc::new(RefCell::new(Emissions { log: log.clone() })));
+    b.observer(Rc::new(RefCell::new(Emissions { log: log.clone() })));
     let mut net = b.build();
     net.run_until(HORIZON);
     drop(net);
@@ -68,12 +68,12 @@ fn emissions_after_stop(edge: MakeEdge) -> Vec<SimTime> {
 
 /// Every paced edge starts at 1 pkt/s and holds that rate until 2 s.
 /// The adaptive edges emit their first packet one gap after a start;
-/// the greedy source emits at once. So the chain armed at t = 0 is due
+/// the greedy and constant-rate sources emit at once. So the chain armed at t = 0 is due
 /// at 1 s, after the restart, and only a fresh chain keeps clear of it.
 #[test]
 fn stale_emission_chain_dies_on_stop() {
     let second = SimDuration::from_secs(1);
-    let cases: [(&str, MakeEdge, Vec<SimTime>); 4] = [
+    let cases: [(&str, MakeEdge, Vec<SimTime>); 5] = [
         (
             "CoreliteEdge",
             |s| Box::new(CoreliteEdge::new(s, CoreliteConfig::default())),
@@ -92,6 +92,11 @@ fn stale_emission_chain_dies_on_stop() {
         (
             "GreedySource",
             |_| Box::new(GreedySource::new(1.0)),
+            vec![RESTART, RESTART + second],
+        ),
+        (
+            "CbrSource",
+            |_| Box::new(CbrSource::new(1.0)),
             vec![RESTART, RESTART + second],
         ),
     ];

@@ -25,16 +25,13 @@ fn compressed_fig3(seed: u64) -> Scenario {
             },
         })
         .collect();
-    Scenario {
-        topology: TopologySpec::paper_chain(),
-        faults: Default::default(),
-        churn: None,
-        name: "compressed_fig3",
+    Scenario::on(
+        TopologySpec::paper_chain(),
+        "compressed_fig3",
         flows,
-        horizon: SimTime::from_secs(200),
+        SimTime::from_secs(200),
         seed,
-        shards: 1,
-    }
+    )
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Byte-identity across event-queue backends: a full figure scenario
-//! must produce exactly the same `ExperimentResult` (every time series,
-//! drop counter and logic report, compared via the complete `Debug`
+//! must produce exactly the same `SimReport` (every time series, drop
+//! counter and logic report, compared via the complete `Debug`
 //! rendering) whether the engine runs on the timer wheel or the seed
 //! binary heap — and whether the sweep executes serially or in
 //! parallel. The wheel is a pure data-structure substitution; any
@@ -9,10 +9,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use netsim::telemetry::{Probe, RingProbe};
+use netsim::telemetry::RingProbe;
 use scenarios::exec::{run_parallel, run_serial};
 use scenarios::runner::Scenario;
-use scenarios::PaperFigure;
+use scenarios::{Discipline, PaperFigure};
 use sim_core::event::QueueBackend;
 use sim_core::time::SimTime;
 
@@ -22,6 +22,15 @@ fn compressed(figure: PaperFigure, seed: u64) -> Scenario {
     s
 }
 
+/// The report of `scenario` run on `backend`, rendered in full.
+fn report_on(scenario: &Scenario, discipline: &dyn Discipline, backend: QueueBackend) -> String {
+    let scenario = Scenario {
+        backend,
+        ..scenario.clone()
+    };
+    format!("{:?}", scenario.run(discipline).report)
+}
+
 #[test]
 fn wheel_and_heap_agree_on_a_full_figure_scenario() {
     // Figure 3/4: the paper's 20-flow chain dynamics under Corelite —
@@ -29,17 +38,12 @@ fn wheel_and_heap_agree_on_a_full_figure_scenario() {
     let figure = PaperFigure::Fig3;
     let scenario = compressed(figure, 1);
     let discipline = figure.discipline();
-    let wheel = format!(
-        "{:?}",
-        scenario.run_with_queue(discipline.as_ref(), QueueBackend::Wheel)
-    );
-    let heap = format!(
-        "{:?}",
-        scenario.run_with_queue(discipline.as_ref(), QueueBackend::Heap)
-    );
+    let wheel = report_on(&scenario, discipline.as_ref(), QueueBackend::Wheel);
+    let heap = report_on(&scenario, discipline.as_ref(), QueueBackend::Heap);
     assert_eq!(wheel, heap, "queue backends diverged on {}", figure.name());
     // The default path is the wheel.
-    let default = format!("{:?}", scenario.run(discipline.as_ref()));
+    assert_eq!(scenario.backend, QueueBackend::Wheel);
+    let default = format!("{:?}", scenario.run(discipline.as_ref()).report);
     assert_eq!(default, wheel);
 }
 
@@ -51,14 +55,8 @@ fn every_figure_agrees_across_backends() {
         let mut scenario = figure.scenario(1);
         scenario.horizon = SimTime::from_secs(8);
         let discipline = figure.discipline();
-        let wheel = format!(
-            "{:?}",
-            scenario.run_with_queue(discipline.as_ref(), QueueBackend::Wheel)
-        );
-        let heap = format!(
-            "{:?}",
-            scenario.run_with_queue(discipline.as_ref(), QueueBackend::Heap)
-        );
+        let wheel = report_on(&scenario, discipline.as_ref(), QueueBackend::Wheel);
+        let heap = report_on(&scenario, discipline.as_ref(), QueueBackend::Heap);
         assert_eq!(wheel, heap, "queue backends diverged on {}", figure.name());
     }
 }
@@ -74,11 +72,11 @@ fn probe_streams_agree_across_backends() {
         let discipline = figure.discipline();
         let stream = |backend: QueueBackend| {
             let probe = Rc::new(RefCell::new(RingProbe::with_capacity(1 << 16)));
-            scenario.run_instrumented(
-                discipline.as_ref(),
+            let scenario = Scenario {
                 backend,
-                probe.clone() as Rc<RefCell<dyn Probe>>,
-            );
+                ..scenario.clone()
+            };
+            scenario.run_observed(discipline.as_ref(), probe.clone());
             let jsonl = probe.borrow().to_jsonl();
             assert!(
                 !jsonl.is_empty(),
@@ -102,15 +100,17 @@ fn backends_agree_under_serial_and_parallel_exec() {
     let discipline = figure.discipline();
     let seeds: Vec<u64> = (1..=4).collect();
     let wheel_work = |seed: u64| {
-        format!(
-            "{:?}",
-            compressed(figure, seed).run_with_queue(discipline.as_ref(), QueueBackend::Wheel)
+        report_on(
+            &compressed(figure, seed),
+            discipline.as_ref(),
+            QueueBackend::Wheel,
         )
     };
     let heap_work = |seed: u64| {
-        format!(
-            "{:?}",
-            compressed(figure, seed).run_with_queue(discipline.as_ref(), QueueBackend::Heap)
+        report_on(
+            &compressed(figure, seed),
+            discipline.as_ref(),
+            QueueBackend::Heap,
         )
     };
     let wheel_serial = run_serial(seeds.clone(), wheel_work);

@@ -33,16 +33,13 @@ fn corelite_tracks_maxmin_for_random_populations() {
                 }
             })
             .collect();
-        let scenario = Scenario {
-            topology: TopologySpec::paper_chain(),
-            faults: Default::default(),
-            churn: None,
-            name: "randomized",
+        let scenario = Scenario::on(
+            TopologySpec::paper_chain(),
+            "randomized",
             flows,
-            horizon: SimTime::from_secs(220),
-            seed: 1234,
-            shards: 1,
-        };
+            SimTime::from_secs(220),
+            1234,
+        );
         let result = scenario.run(&scenarios::discipline::Corelite::new(
             CoreliteConfig::default(),
         ));

@@ -1,6 +1,6 @@
 //! Sharded-vs-serial identity suite: the sharded engine must reproduce
 //! the serial engine's results **byte for byte** at every shard count —
-//! reports, probe streams, churn accounting — across the paper figures,
+//! reports, observed record streams, churn accounting — across the paper figures,
 //! fat-tree mixes, fault injection and flow churn. This is the contract
 //! that makes `--shards` a pure wall-clock knob (DESIGN.md §16): any
 //! divergence, however small, is a bug in the epoch/mailbox protocol,
@@ -12,15 +12,17 @@
 //! reports, the event total, and the churn report all participate.
 
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 use corelite::CoreliteConfig;
-use netsim::telemetry::{Probe, RingProbe};
+use netsim::telemetry::{ProbeRecord, Sample};
+use netsim::trace::{Observer, TraceEvent};
+use netsim::NodeId;
 use scenarios::discipline::{by_name, Corelite};
 use scenarios::fault::FaultSpec;
 use scenarios::runner::Scenario;
 use scenarios::{fig3_4, fig5_6, fig7_8, fig9_10, Discipline};
-use sim_core::event::QueueBackend;
 use sim_core::time::SimTime;
 
 /// Shrinks a scenario's horizon (activation schedules are untouched;
@@ -127,34 +129,54 @@ fn csfq_baseline_is_byte_identical() {
     assert_identical(&compress(fig3_4(13), 12), csfq.as_ref(), &[2, 3]);
 }
 
+/// Renders every observed record into one text stream in arrival
+/// order: a packet event as `E <ns> <event>`, a sample as `S <JSONL>`.
+#[derive(Default)]
+struct Stream(String);
+
+impl Observer for Stream {
+    fn record_event(&mut self, now: SimTime, event: &TraceEvent) {
+        let _ = writeln!(self.0, "E {} {event:?}", now.as_nanos());
+    }
+
+    fn record_sample(&mut self, now: SimTime, node: NodeId, sample: &Sample) {
+        let record = ProbeRecord {
+            time: now,
+            node,
+            sample: *sample,
+        };
+        let _ = writeln!(self.0, "S {}", record.to_json());
+    }
+}
+
 #[test]
 fn probe_streams_are_byte_identical() {
-    // Telemetry: the sharded engine replays its merged sample log into
-    // the probe in canonical order, so the rendered JSONL stream must
-    // match the serial stream byte for byte.
+    // One observer sees packet events and control-plane samples in one
+    // stream. The sharded engine replays its merged log into it in
+    // canonical order, so the stream — the interleaving of the two
+    // kinds included — must match the serial stream byte for byte.
     let corelite = Corelite::new(CoreliteConfig::default());
     let scenario = compress(fig5_6(17), 15);
+    let observe = |scenario: &Scenario| {
+        let stream = Rc::new(RefCell::new(Stream::default()));
+        scenario.run_observed(&corelite, stream.clone());
+        stream.take().0
+    };
 
-    let serial_probe = Rc::new(RefCell::new(RingProbe::with_capacity(1 << 16)));
-    scenario.run_instrumented(
-        &corelite,
-        QueueBackend::Wheel,
-        serial_probe.clone() as Rc<RefCell<dyn Probe>>,
+    let serial = observe(&scenario);
+    // Non-vacuous: both kinds are present and really interleave.
+    let kinds: Vec<u8> = serial.lines().map(|l| l.as_bytes()[0]).collect();
+    let switches = kinds.windows(2).filter(|w| w[0] != w[1]).count();
+    assert!(
+        switches > 100,
+        "packet events and samples barely interleave: {switches} switches"
     );
-    let expected = serial_probe.borrow().to_jsonl();
-    assert!(!expected.is_empty(), "serial probe recorded nothing");
 
     for shards in [2usize, 4] {
-        let probe = Rc::new(RefCell::new(RingProbe::with_capacity(1 << 16)));
-        scenario.run_instrumented_sharded(
-            &corelite,
-            shards,
-            probe.clone() as Rc<RefCell<dyn Probe>>,
-        );
-        assert_eq!(
-            expected,
-            probe.borrow().to_jsonl(),
-            "probe stream diverged at {shards} shards"
+        let sharded = observe(&scenario.clone().with_shards(shards));
+        assert!(
+            serial == sharded,
+            "observed stream diverged at {shards} shards"
         );
     }
 }

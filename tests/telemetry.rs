@@ -9,12 +9,11 @@ use std::rc::Rc;
 
 use corelite::{CoreliteConfig, SelectorKind};
 use csfq::CsfqConfig;
-use netsim::telemetry::{Probe, RingProbe};
+use netsim::telemetry::RingProbe;
 use netsim::FlowId;
 use scenarios::discipline::{Corelite, Csfq};
 use scenarios::report::{jain_trajectory, settling_summary};
 use scenarios::{fig5_6, Discipline, ExperimentResult};
-use sim_core::event::QueueBackend;
 use sim_core::time::{SimDuration, SimTime};
 
 const SEED: u64 = 20000;
@@ -26,11 +25,7 @@ fn probed_run(
     let mut s = fig5_6(SEED);
     s.horizon = horizon;
     let probe = Rc::new(RefCell::new(RingProbe::with_capacity(1 << 17)));
-    let result = s.run_instrumented(
-        discipline,
-        QueueBackend::Wheel,
-        probe.clone() as Rc<RefCell<dyn Probe>>,
-    );
+    let result = s.run_observed(discipline, probe.clone());
     (result, probe)
 }
 

@@ -1,7 +1,7 @@
 //! Byte-identity across transmission-dispatch modes: a full figure
-//! scenario must produce exactly the same `ExperimentResult` (every
-//! time series, drop counter and logic report, compared via the
-//! complete `Debug` rendering) whether the engine coalesces
+//! scenario must produce exactly the same `SimReport` (every time
+//! series, drop counter and logic report, compared via the complete
+//! `Debug` rendering) whether the engine coalesces
 //! back-to-back transmissions into a link's departure train
 //! (`DispatchMode::Train`, the default) or schedules one `TxDone`
 //! checkpoint per packet (`DispatchMode::PerPacket`). The train is a
@@ -12,17 +12,26 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use netsim::telemetry::{Probe, RingProbe};
+use netsim::telemetry::RingProbe;
 use netsim::DispatchMode;
 use scenarios::exec::{run_parallel, run_serial};
 use scenarios::runner::Scenario;
-use scenarios::PaperFigure;
+use scenarios::{Discipline, PaperFigure};
 use sim_core::time::SimTime;
 
 fn compressed(figure: PaperFigure, seed: u64) -> Scenario {
     let mut s = figure.scenario(seed);
     s.horizon = SimTime::from_secs(20);
     s
+}
+
+/// The report of `scenario` run under `dispatch`, rendered in full.
+fn report_in(scenario: &Scenario, discipline: &dyn Discipline, dispatch: DispatchMode) -> String {
+    let scenario = Scenario {
+        dispatch,
+        ..scenario.clone()
+    };
+    format!("{:?}", scenario.run(discipline).report)
 }
 
 #[test]
@@ -32,14 +41,8 @@ fn train_and_per_packet_agree_on_a_full_figure_scenario() {
     let figure = PaperFigure::Fig3;
     let scenario = compressed(figure, 1);
     let discipline = figure.discipline();
-    let train = format!(
-        "{:?}",
-        scenario.run_with_dispatch(discipline.as_ref(), DispatchMode::Train)
-    );
-    let per_packet = format!(
-        "{:?}",
-        scenario.run_with_dispatch(discipline.as_ref(), DispatchMode::PerPacket)
-    );
+    let train = report_in(&scenario, discipline.as_ref(), DispatchMode::Train);
+    let per_packet = report_in(&scenario, discipline.as_ref(), DispatchMode::PerPacket);
     assert_eq!(
         train,
         per_packet,
@@ -47,7 +50,8 @@ fn train_and_per_packet_agree_on_a_full_figure_scenario() {
         figure.name()
     );
     // The default path is the train.
-    let default = format!("{:?}", scenario.run(discipline.as_ref()));
+    assert_eq!(scenario.dispatch, DispatchMode::Train);
+    let default = format!("{:?}", scenario.run(discipline.as_ref()).report);
     assert_eq!(default, train);
 }
 
@@ -60,14 +64,8 @@ fn every_figure_agrees_across_dispatch_modes() {
         let mut scenario = figure.scenario(1);
         scenario.horizon = SimTime::from_secs(8);
         let discipline = figure.discipline();
-        let train = format!(
-            "{:?}",
-            scenario.run_with_dispatch(discipline.as_ref(), DispatchMode::Train)
-        );
-        let per_packet = format!(
-            "{:?}",
-            scenario.run_with_dispatch(discipline.as_ref(), DispatchMode::PerPacket)
-        );
+        let train = report_in(&scenario, discipline.as_ref(), DispatchMode::Train);
+        let per_packet = report_in(&scenario, discipline.as_ref(), DispatchMode::PerPacket);
         assert_eq!(
             train,
             per_packet,
@@ -84,27 +82,15 @@ fn fat_tree_agrees_across_dispatch_modes() {
     let scenario = Scenario::fat_tree_mix(SimTime::from_secs(15), 7);
     let figure = PaperFigure::Fig3;
     let discipline = figure.discipline();
-    let train = format!(
-        "{:?}",
-        scenario.run_with_dispatch(discipline.as_ref(), DispatchMode::Train)
-    );
-    let per_packet = format!(
-        "{:?}",
-        scenario.run_with_dispatch(discipline.as_ref(), DispatchMode::PerPacket)
-    );
+    let train = report_in(&scenario, discipline.as_ref(), DispatchMode::Train);
+    let per_packet = report_in(&scenario, discipline.as_ref(), DispatchMode::PerPacket);
     assert_eq!(train, per_packet, "dispatch modes diverged on fat_tree_mix");
 
     // The wide k=8 instance (8 leaves x 4 spines) from the scaling
     // benches: more links, more concurrent trains per tick.
     let scenario = Scenario::fat_tree_k_mix(8, 4, SimTime::from_secs(10), 7);
-    let train = format!(
-        "{:?}",
-        scenario.run_with_dispatch(discipline.as_ref(), DispatchMode::Train)
-    );
-    let per_packet = format!(
-        "{:?}",
-        scenario.run_with_dispatch(discipline.as_ref(), DispatchMode::PerPacket)
-    );
+    let train = report_in(&scenario, discipline.as_ref(), DispatchMode::Train);
+    let per_packet = report_in(&scenario, discipline.as_ref(), DispatchMode::PerPacket);
     assert_eq!(
         train, per_packet,
         "dispatch modes diverged on fat_tree_k_mix"
@@ -122,11 +108,11 @@ fn probe_streams_agree_across_dispatch_modes() {
         let discipline = figure.discipline();
         let stream = |dispatch: DispatchMode| {
             let probe = Rc::new(RefCell::new(RingProbe::with_capacity(1 << 16)));
-            scenario.run_instrumented_dispatch(
-                discipline.as_ref(),
+            let scenario = Scenario {
                 dispatch,
-                probe.clone() as Rc<RefCell<dyn Probe>>,
-            );
+                ..scenario.clone()
+            };
+            scenario.run_observed(discipline.as_ref(), probe.clone());
             let jsonl = probe.borrow().to_jsonl();
             assert!(
                 !jsonl.is_empty(),
@@ -150,16 +136,17 @@ fn dispatch_modes_agree_under_serial_and_parallel_exec() {
     let discipline = figure.discipline();
     let seeds: Vec<u64> = (1..=4).collect();
     let train_work = |seed: u64| {
-        format!(
-            "{:?}",
-            compressed(figure, seed).run_with_dispatch(discipline.as_ref(), DispatchMode::Train)
+        report_in(
+            &compressed(figure, seed),
+            discipline.as_ref(),
+            DispatchMode::Train,
         )
     };
     let per_packet_work = |seed: u64| {
-        format!(
-            "{:?}",
-            compressed(figure, seed)
-                .run_with_dispatch(discipline.as_ref(), DispatchMode::PerPacket)
+        report_in(
+            &compressed(figure, seed),
+            discipline.as_ref(),
+            DispatchMode::PerPacket,
         )
     };
     let train_serial = run_serial(seeds.clone(), train_work);

@@ -54,14 +54,14 @@ fn transport_scenarios_are_byte_identical_across_shards() {
 fn transport_scenarios_are_byte_identical_across_queue_backends() {
     let corelite = Corelite::new(CoreliteConfig::default());
     for scenario in scenarios() {
-        let wheel = format!(
-            "{:?}",
-            scenario.run_with_queue(&corelite, QueueBackend::Wheel)
-        );
-        let heap = format!(
-            "{:?}",
-            scenario.run_with_queue(&corelite, QueueBackend::Heap)
-        );
+        let on = |backend| {
+            let scenario = Scenario {
+                backend,
+                ..scenario.clone()
+            };
+            format!("{:?}", scenario.run(&corelite).report)
+        };
+        let (wheel, heap) = (on(QueueBackend::Wheel), on(QueueBackend::Heap));
         assert_eq!(wheel, heap, "{} diverged across backends", scenario.name);
     }
 }
@@ -70,14 +70,14 @@ fn transport_scenarios_are_byte_identical_across_queue_backends() {
 fn transport_scenarios_are_byte_identical_across_dispatch_modes() {
     let corelite = Corelite::new(CoreliteConfig::default());
     for scenario in scenarios() {
-        let train = format!(
-            "{:?}",
-            scenario.run_with_dispatch(&corelite, DispatchMode::Train)
-        );
-        let per_packet = format!(
-            "{:?}",
-            scenario.run_with_dispatch(&corelite, DispatchMode::PerPacket)
-        );
+        let under = |dispatch| {
+            let scenario = Scenario {
+                dispatch,
+                ..scenario.clone()
+            };
+            format!("{:?}", scenario.run(&corelite).report)
+        };
+        let (train, per_packet) = (under(DispatchMode::Train), under(DispatchMode::PerPacket));
         assert_eq!(
             train, per_packet,
             "dispatch modes diverged on {}",

@@ -13,12 +13,10 @@ use sim_core::time::SimTime;
 /// (total weight 12 ⇒ 41.67 pkt/s per unit weight).
 fn six_flows(seed: u64) -> Scenario {
     let weights = [1u32, 1, 2, 2, 3, 3];
-    Scenario {
-        topology: TopologySpec::paper_chain(),
-        faults: Default::default(),
-        churn: None,
-        name: "six_flows",
-        flows: weights
+    Scenario::on(
+        TopologySpec::paper_chain(),
+        "six_flows",
+        weights
             .into_iter()
             .map(|w| ScenarioFlow {
                 transport: Default::default(),
@@ -28,10 +26,9 @@ fn six_flows(seed: u64) -> Scenario {
                 activations: vec![(SimTime::ZERO, None)],
             })
             .collect(),
-        horizon: SimTime::from_secs(120),
+        SimTime::from_secs(120),
         seed,
-        shards: 1,
-    }
+    )
 }
 
 fn steady_rates(result: &scenarios::ExperimentResult) -> Vec<f64> {
