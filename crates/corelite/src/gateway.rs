@@ -155,11 +155,11 @@ impl CoreliteGateway {
             return;
         };
         if s.controller.take_marker(&self.cfg) {
-            packet.marker = Some(Marker {
+            packet.set_marker(Some(Marker {
                 flow,
                 edge: node,
                 normalized_rate: s.controller.normalized_excess(),
-            });
+            }));
             self.markers_injected += 1;
         }
         s.last_emit = Some(now);
@@ -176,7 +176,7 @@ impl RouterLogic for CoreliteGateway {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, mut packet: Packet) {
         let flow = packet.flow;
         // The upstream cloud's marker domain ends here.
-        packet.marker = None;
+        packet.set_marker(None);
         let now = ctx.now();
         let (weight, min_rate) = {
             let info = ctx.flow(flow);

@@ -166,7 +166,7 @@ impl RouterLogic for CoreliteCore {
         let Some(link) = ctx.next_hop(packet.flow) else {
             return; // not on this packet's path: absorb (cannot happen in practice)
         };
-        if let Some(marker) = packet.marker {
+        if let Some(marker) = packet.marker() {
             self.markers_seen += 1;
             match &mut self
                 .links

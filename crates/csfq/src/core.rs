@@ -224,7 +224,7 @@ impl RouterLogic for CsfqCore {
             .links
             .get_mut(&link)
             .expect("estimator initialised in on_start");
-        let label = packet.label.unwrap_or(0.0);
+        let label = packet.label().unwrap_or(0.0);
         let now = ctx.now();
         let p_drop = est.on_arrival(now, label);
         if self.rng.bernoulli(p_drop) {
@@ -241,7 +241,7 @@ impl RouterLogic for CsfqCore {
                 .expect("estimator exists")
                 .on_overflow(penalty);
         }
-        packet.label = Some(new_label);
+        packet.set_label(new_label);
         self.forwarded += 1;
         ctx.forward(link, packet);
     }

@@ -108,6 +108,9 @@ pub(crate) enum Event {
     ChurnRetire { flow: FlowId },
 }
 
+// A queued wheel entry is `time` + key + `Event`: 72 bytes (DESIGN.md §11).
+const _: () = assert!(std::mem::size_of::<Event>() <= 56);
+
 struct NodeSlot {
     name: String,
     logic: Option<Box<dyn RouterLogic>>,
@@ -117,9 +120,9 @@ struct NodeSlot {
 /// [`TopologyBuilder`](crate::topology::TopologyBuilder).
 pub struct Network {
     now: SimTime,
-    /// Pending events, stored with their canonical key so capture hooks
-    /// can observe it at pop time; same-time ties pop in key order.
-    queue: EventQueue<(u64, Event)>,
+    /// Pending events under their canonical keys; same-time ties pop in
+    /// key order, and the pop hands the key back for the capture hooks.
+    queue: EventQueue<Event>,
     nodes: Vec<NodeSlot>,
     links: Vec<Link>,
     flows: Vec<FlowInfo>,
@@ -331,7 +334,7 @@ impl Network {
                 return;
             }
         }
-        self.queue.push_keyed(time, key, (key, event));
+        self.queue.push_keyed(time, key, event);
     }
 
     fn trace(&self, event: TraceEvent) {
@@ -397,7 +400,7 @@ impl Network {
     /// increasing horizons.
     pub fn run_until(&mut self, end: SimTime) {
         self.start_if_needed();
-        while let Some((time, (key, event))) = self.queue.pop_at_or_before(end) {
+        while let Some((time, key, event)) = self.queue.pop_keyed_at_or_before(end) {
             debug_assert!(time >= self.now, "event queue went backwards");
             self.now = time;
             self.current_key = key;
@@ -424,7 +427,7 @@ impl Network {
             return;
         };
         let limit = SimTime::from_nanos(limit);
-        while let Some((time, (key, event))) = self.queue.pop_at_or_before(limit) {
+        while let Some((time, key, event)) = self.queue.pop_keyed_at_or_before(limit) {
             debug_assert!(time >= self.now, "event queue went backwards");
             self.now = time;
             self.current_key = key;
@@ -695,7 +698,7 @@ impl Network {
             return;
         }
         if flow.egress() == node {
-            match packet.seq {
+            match packet.seq() {
                 None => {
                     // Open-loop delivery: the pre-transport path, byte for
                     // byte.
@@ -825,13 +828,13 @@ impl Network {
                     self.record_drop(node, &packet, DropReason::Fault);
                     return;
                 }
-                if packet.marker.is_some() {
+                if packet.marker().is_some() {
                     let stripped = self
                         .faults
                         .as_mut()
                         .is_some_and(|f| f.marker_stripped(link));
                     if stripped {
-                        packet.marker = None;
+                        packet.set_marker(None);
                         self.trace(TraceEvent::Fault {
                             kind: FaultKind::MarkerStripped,
                             node,
@@ -981,7 +984,7 @@ impl Network {
     /// Enqueues an event received from a peer shard under its original
     /// canonical key.
     pub(crate) fn inject(&mut self, time: SimTime, key: u64, event: Event) {
-        self.queue.push_keyed(time, key, (key, event));
+        self.queue.push_keyed(time, key, event);
     }
 
     /// The egress node index of every flow slot (identical on every
@@ -1563,7 +1566,7 @@ mod fault_tests {
 
     impl RouterLogic for MarkerCounter {
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: Packet) {
-            if packet.marker.is_some() {
+            if packet.marker().is_some() {
                 *self.markers_seen.borrow_mut() += 1;
             }
             ctx.emit(packet);

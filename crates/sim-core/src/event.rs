@@ -159,10 +159,24 @@ impl<E> EventQueue<E> {
     /// horizon-bounded dispatch loop pays for locating the minimum once
     /// per event instead of twice.
     pub fn pop_at_or_before(&mut self, end: SimTime) -> Option<(SimTime, E)> {
-        match &mut self.backend {
-            Backend::Wheel(w) => w.pop_at_or_before(end),
-            Backend::Heap(h) => h.pop_at_or_before(end),
-        }
+        self.pop_keyed_at_or_before(end)
+            .map(|(time, _, event)| (time, event))
+    }
+
+    /// [`pop_at_or_before`](Self::pop_at_or_before), also returning the
+    /// event's tie-break key: the insertion counter for [`push`], the
+    /// caller's key for [`push_keyed`]. The queue stores the key anyway,
+    /// so a caller that needs it back at pop time need not carry a second
+    /// copy inside its event.
+    ///
+    /// [`push`]: Self::push
+    /// [`push_keyed`]: Self::push_keyed
+    pub fn pop_keyed_at_or_before(&mut self, end: SimTime) -> Option<(SimTime, u64, E)> {
+        let e = match &mut self.backend {
+            Backend::Wheel(w) => w.pop_entry_at_or_before(end),
+            Backend::Heap(h) => h.pop_entry_at_or_before(end),
+        }?;
+        Some((e.time, e.seq, e.event))
     }
 
     /// Returns the timestamp of the earliest pending event, if any.
@@ -293,19 +307,26 @@ impl<E> HeapEventQueue<E> {
 
     /// Removes and returns the earliest event (FIFO on ties).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| {
-            self.popped += 1;
-            (e.time, e.event)
-        })
+        self.pop_entry().map(|e| (e.time, e.event))
+    }
+
+    fn pop_entry(&mut self) -> Option<Entry<E>> {
+        let e = self.heap.pop()?;
+        self.popped += 1;
+        Some(e)
     }
 
     /// Pops the earliest event only if it fires at or before `end` (see
     /// [`EventQueue::pop_at_or_before`]).
     pub fn pop_at_or_before(&mut self, end: SimTime) -> Option<(SimTime, E)> {
+        self.pop_entry_at_or_before(end).map(|e| (e.time, e.event))
+    }
+
+    fn pop_entry_at_or_before(&mut self, end: SimTime) -> Option<Entry<E>> {
         if self.heap.peek()?.time > end {
             return None;
         }
-        self.pop()
+        self.pop_entry()
     }
 
     /// Returns the timestamp of the earliest pending event, if any.
@@ -379,8 +400,9 @@ struct TimerWheel<E> {
     overflow: BinaryHeap<Entry<E>>,
     /// The tick of the most recent delivery (starts at 0). May run
     /// ahead of the last delivery up to the earliest *pending* tick: a
-    /// bounded [`pop_at_or_before`](Self::pop_at_or_before) advances the
-    /// wheel before discovering the next event lies beyond its horizon.
+    /// bounded [`pop_entry_at_or_before`](Self::pop_entry_at_or_before)
+    /// advances the wheel before discovering the next event lies beyond
+    /// its horizon.
     now_tick: u64,
     /// Timestamp of the most recent delivery — the true monotonic floor
     /// for pushes. Events between `floor` and `now_tick` are still
@@ -486,6 +508,10 @@ impl<E> TimerWheel<E> {
     }
 
     fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_entry().map(|e| (e.time, e.event))
+    }
+
+    fn pop_entry(&mut self) -> Option<Entry<E>> {
         let e = loop {
             if self.late.is_empty() {
                 // Fast path: the current tick's events all sit in `cur`,
@@ -503,10 +529,10 @@ impl<E> TimerWheel<E> {
         self.pending -= 1;
         self.popped += 1;
         self.floor = e.time;
-        Some((e.time, e.event))
+        Some(e)
     }
 
-    fn pop_at_or_before(&mut self, end: SimTime) -> Option<(SimTime, E)> {
+    fn pop_entry_at_or_before(&mut self, end: SimTime) -> Option<Entry<E>> {
         loop {
             let next = if self.late.is_empty() {
                 match self.cur.last() {
@@ -528,7 +554,7 @@ impl<E> TimerWheel<E> {
             if next > end {
                 return None;
             }
-            return self.pop();
+            return self.pop_entry();
         }
     }
 
@@ -780,6 +806,35 @@ mod tests {
                 Some((SimTime::from_millis(30), 3))
             );
             assert_eq!(q.pop_at_or_before(SimTime::from_secs(1)), None);
+        }
+    }
+
+    #[test]
+    fn pop_keyed_returns_the_stored_key() {
+        for mut q in both_backends() {
+            q.push_keyed(SimTime::from_millis(10), 7, 70);
+            q.push_keyed(SimTime::from_millis(10), 3, 30);
+            q.push_keyed(SimTime::from_millis(40), 1, 10);
+            let t = SimTime::from_millis(10);
+            assert_eq!(q.pop_keyed_at_or_before(t), Some((t, 3, 30)));
+            assert_eq!(q.pop_keyed_at_or_before(t), Some((t, 7, 70)));
+            assert_eq!(q.pop_keyed_at_or_before(t), None);
+            assert_eq!(q.delivered(), 2);
+            let t = SimTime::from_millis(40);
+            assert_eq!(q.pop_keyed_at_or_before(t), Some((t, 1, 10)));
+        }
+        // Unkeyed pushes report their insertion counter.
+        for mut q in both_backends() {
+            q.push(SimTime::ZERO, 5);
+            q.push(SimTime::ZERO, 6);
+            assert_eq!(
+                q.pop_keyed_at_or_before(SimTime::ZERO),
+                Some((SimTime::ZERO, 0, 5))
+            );
+            assert_eq!(
+                q.pop_keyed_at_or_before(SimTime::ZERO),
+                Some((SimTime::ZERO, 1, 6))
+            );
         }
     }
 

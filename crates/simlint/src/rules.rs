@@ -236,6 +236,7 @@ const HOT_PATH_MODULES: &[&str] = &[
     "crates/netsim/src/telemetry.rs",
     "crates/netsim/src/transport.rs",
     "crates/netsim/src/pacer.rs",
+    "crates/netsim/src/packet.rs",
     "crates/corelite/src/edge.rs",
     "crates/corelite/src/router.rs",
     "crates/csfq/src/core.rs",
@@ -357,6 +358,17 @@ const HOT_FNS: &[&str] = &[
     "record_sample",
     "publish",
     "record",
+    // netsim::packet: construction and the packed-field accessors run
+    // for every packet a discipline mints or inspects.
+    "data",
+    "marker",
+    "set_marker",
+    "with_marker",
+    "label",
+    "set_label",
+    "with_label",
+    "seq",
+    "with_seq",
 ];
 
 /// Collection types whose `<FlowId, …>` instantiation is per-flow state.
@@ -911,6 +923,7 @@ mod tests {
         let pacer = classify("crates/netsim/src/pacer.rs");
         assert!(pacer.hot_path && pacer.dense_state && pacer.flow_lifecycle);
         assert!(!classify("crates/corelite/src/router.rs").flow_lifecycle);
+        assert!(classify("crates/netsim/src/packet.rs").hot_path);
         assert!(classify("crates/simlint/fixtures/flow_lifecycle_bad.rs").flow_lifecycle);
     }
 
@@ -1093,6 +1106,15 @@ mod tests {
         assert_eq!(v[0].rule, "hot-alloc");
         // Same source in a non-hot module is fine.
         assert!(scan("crates/netsim/src/flow.rs", src).is_empty());
+    }
+
+    #[test]
+    fn hot_alloc_covers_the_packet_accessors() {
+        let src = "impl Packet {\nfn set_marker(&mut self) { let v = vec![1]; }\n\
+                   fn label(&self) { let b = Box::new(1); }\n}";
+        let v = scan("crates/netsim/src/packet.rs", src);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v.iter().all(|v| v.rule == "hot-alloc"));
     }
 
     #[test]

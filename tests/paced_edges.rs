@@ -16,7 +16,7 @@ use csfq::{CsfqConfig, CsfqEdge};
 use netsim::churn::ChurnSpec;
 use netsim::flow::FlowSpec;
 use netsim::link::LinkSpec;
-use netsim::logic::{CbrSource, ForwardLogic, RouterLogic};
+use netsim::logic::{CbrSource, ForwardLogic, PoissonSource, RouterLogic};
 use netsim::topology::TopologyBuilder;
 use netsim::trace::{Observer, TraceEvent};
 use sim_core::time::{SimDuration, SimTime};
@@ -114,6 +114,64 @@ fn stale_emission_chain_dies_on_stop() {
         "emissions rode the pre-stop chain:\n{}",
         failures.join("\n")
     );
+}
+
+/// Delivered packets: one per `Deliver` trace event.
+struct Deliveries {
+    count: Rc<RefCell<u64>>,
+}
+
+impl Observer for Deliveries {
+    fn record_event(&mut self, _now: SimTime, event: &TraceEvent) {
+        if matches!(event, TraceEvent::Deliver { .. }) {
+            *self.count.borrow_mut() += 1;
+        }
+    }
+}
+
+/// Runs one flow through a 10 pkt/s `PoissonSource` built from `seed`:
+/// active from 0 to 0.45 s and again from 0.55 s until 200 s. Returns the
+/// packets delivered.
+fn poisson_deliveries(seed: u64) -> u64 {
+    let mut b = TopologyBuilder::new(seed);
+    let src = b.node("edge", |s| Box::new(PoissonSource::new(s, 10.0)));
+    let sink = b.node("sink", |_| Box::new(ForwardLogic));
+    b.link(
+        src,
+        sink,
+        LinkSpec::new(10_000_000, SimDuration::from_millis(10), 100),
+    );
+    b.flow(
+        FlowSpec::new(vec![src, sink], 1)
+            .active(SimTime::ZERO, Some(STOP))
+            .active(RESTART, None),
+    );
+    let count = Rc::new(RefCell::new(0u64));
+    b.observer(Rc::new(RefCell::new(Deliveries {
+        count: count.clone(),
+    })));
+    let mut net = b.build();
+    net.run_until(SimTime::from_secs(200));
+    drop(net);
+    count.take()
+}
+
+/// The Poisson source draws random gaps, so a surviving pre-stop chain
+/// shows up in the packet count, not in exact instants: two chains
+/// deliver about twice the flow's rate after the restart. Whether the
+/// old chain outlives the 0.1 s pause depends on the draws (no gap
+/// straddles it with probability e^-1), so several seeds run; seeds 3
+/// and 4 double the count when the stop leaves the old chain running.
+#[test]
+fn restarted_poisson_source_keeps_its_rate() {
+    let expected = 10.0 * (200.0 - (RESTART.as_secs_f64() - STOP.as_secs_f64()));
+    for seed in 1..=4 {
+        let got = poisson_deliveries(seed) as f64;
+        assert!(
+            (got - expected).abs() <= 0.1 * expected,
+            "seed {seed}: delivered {got} packets, expected {expected} ± 10%"
+        );
+    }
 }
 
 /// Churn recycles flow slots: a packet must carry its slot's current
