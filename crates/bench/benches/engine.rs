@@ -1,72 +1,9 @@
-//! Microbenchmarks of the discrete-event substrate: event queue, RNG
-//! streams, the time-weighted queue average, the exponential rate
-//! estimator, and end-to-end simulator throughput (the paper-chain
-//! scenario used by the CI bench smoke gate).
+//! End-to-end simulator throughput benchmarks: the flow-count scaling
+//! rows and the paper-chain, fat-tree and churn scenarios the CI bench
+//! smoke gate runs.
 
-use bench::{black_box, compress, run_checked, Runner};
-use sim_core::event::EventQueue;
-use sim_core::rng::DetRng;
-use sim_core::stats::{ExpAvg, TimeWeightedMean};
+use bench::{compress, run_checked, Runner};
 use sim_core::time::{SimDuration, SimTime};
-
-fn bench_event_queue(runner: &mut Runner) {
-    runner.bench("event_queue/push_pop_interleaved_1k", || {
-        let mut q = EventQueue::with_capacity(1024);
-        // A sliding window of pending events, like a busy link.
-        for i in 0..1_000u64 {
-            q.push(SimTime::from_nanos(i * 997 % 50_000), i);
-            if i % 2 == 1 {
-                black_box(q.pop());
-            }
-        }
-        while let Some(e) = q.pop() {
-            black_box(e);
-        }
-    });
-    runner.bench("event_queue/push_pop_fifo_ties_1k", || {
-        let t = SimTime::from_secs(1);
-        let mut q = EventQueue::with_capacity(1024);
-        for i in 0..1_000u64 {
-            q.push(t, i);
-        }
-        while let Some(e) = q.pop() {
-            black_box(e);
-        }
-    });
-}
-
-fn bench_rng(runner: &mut Runner) {
-    let mut rng = DetRng::new(7);
-    runner.bench("rng/bernoulli_10k", || {
-        let mut hits = 0u32;
-        for _ in 0..10_000 {
-            hits += u32::from(rng.bernoulli(black_box(0.3)));
-        }
-        black_box(hits)
-    });
-    runner.bench("rng/stream_derivation", || {
-        black_box(DetRng::stream(black_box(42), "core-router-3"))
-    });
-}
-
-fn bench_stats(runner: &mut Runner) {
-    runner.bench("stats/time_weighted_mean_10k_updates", || {
-        let mut m = TimeWeightedMean::new(SimTime::ZERO, 0.0);
-        for i in 1..10_000u64 {
-            m.set(SimTime::from_nanos(i * 1_000), (i % 40) as f64);
-        }
-        black_box(m.mean(SimTime::from_millis(10)))
-    });
-    runner.bench("stats/exp_avg_10k_observations", || {
-        let mut e = ExpAvg::new(SimDuration::from_millis(100));
-        let mut now = SimTime::ZERO;
-        for _ in 0..10_000 {
-            now += SimDuration::from_micros(500);
-            black_box(e.observe(now, 1.0));
-        }
-        black_box(e.rate())
-    });
-}
 
 fn bench_simulator_scaling(runner: &mut Runner) {
     use corelite::CoreliteConfig;
@@ -221,9 +158,6 @@ fn bench_churn(runner: &mut Runner) {
 
 fn main() {
     let mut runner = Runner::from_args("engine");
-    bench_event_queue(&mut runner);
-    bench_rng(&mut runner);
-    bench_stats(&mut runner);
     bench_simulator_scaling(&mut runner);
     bench_paper_chain(&mut runner);
     bench_fat_tree(&mut runner);

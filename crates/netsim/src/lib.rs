@@ -71,7 +71,7 @@ pub use ids::{FlowId, LinkId, NodeId, PacketId};
 pub use link::LinkSpec;
 pub use logic::{Action, ControlMsg, Ctx, RouterLogic, TimerKind};
 pub use monitor::SimReport;
-pub use network::{DispatchMode, Network};
+pub use network::Network;
 pub use pacer::{Chain, Pacer};
 pub use packet::{Marker, Packet};
 pub use slab::{ActiveSet, DenseMap, SlabKey};

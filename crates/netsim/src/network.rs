@@ -16,27 +16,6 @@ use crate::trace::{FaultKind, Observer, TraceEvent};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-/// How link serializations are turned into queue events.
-///
-/// Both modes produce byte-identical reports, traces and telemetry (see
-/// `tests/train_batching.rs`): departure times are computed at enqueue
-/// either way, so the per-packet checkpoints of [`PerPacket`] only add
-/// no-op sync work.
-///
-/// [`PerPacket`]: DispatchMode::PerPacket
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// Coalesce back-to-back serializations into a train: a packet's
-    /// delivery event is scheduled directly at `departure + propagation`
-    /// and link accounting is synced lazily (the default).
-    #[default]
-    Train,
-    /// Additionally schedule one `TxDone` checkpoint per packet at its
-    /// departure instant — the pre-train engine's event shape — kept for
-    /// differential testing of the batching path.
-    PerPacket,
-}
-
 /// Canonical causal keys: every event is pushed under a key
 /// `(site + 1) << KEY_SITE_SHIFT | per-site counter`, where the *site* is
 /// the stable identity of the pushing code path — [`SITE_GLOBAL`] for
@@ -91,9 +70,6 @@ pub(crate) struct ShardView {
 pub(crate) enum Event {
     /// `packet` arrives at `node` (after serialization and propagation).
     Arrive { node: NodeId, packet: Packet },
-    /// Per-packet sync checkpoint on `link` ([`DispatchMode::PerPacket`]
-    /// only).
-    TxDone { link: LinkId },
     /// A logic-scheduled timer on `node` expired.
     Timer { node: NodeId, timer: TimerKind },
     /// A control message reaches `node`.
@@ -173,13 +149,10 @@ pub struct Network {
     /// packets, control messages, or flow lifecycle events) that the
     /// dispatcher discarded.
     stale_events: u64,
-    dispatch: DispatchMode,
-    /// Logical events dispatched, excluding `TxDone` checkpoints (which
-    /// exist only under [`DispatchMode::PerPacket`]). Reported as
-    /// `events_processed` together with the per-link forwarded counts, so
-    /// the total is identical across dispatch modes — and identical to
-    /// the event count of the pre-train engine, which popped one `TxDone`
-    /// per forwarded packet.
+    /// Logical events dispatched. Reported as `events_processed`
+    /// together with the per-link forwarded counts, so the total counts
+    /// one serialization per forwarded packet although a transmission
+    /// schedules no event of its own.
     logical_events: u64,
     /// Reusable action buffer threaded through every logic callback;
     /// drained and reset after each event so steady-state dispatch never
@@ -204,7 +177,6 @@ impl Network {
         faults: Option<FaultState>,
         churn: Option<ChurnState>,
         queue_backend: QueueBackend,
-        dispatch: DispatchMode,
         role: ExecRole,
     ) -> Self {
         let queue = EventQueue::with_backend(queue_backend, 1024);
@@ -250,7 +222,6 @@ impl Network {
             churn,
             window,
             stale_events: 0,
-            dispatch,
             logical_events: 0,
             // Pre-sized so even per-flow action bursts (epoch timers on
             // an edge carrying many flows) stay allocation-free.
@@ -315,10 +286,8 @@ impl Network {
             Event::Arrive { node, .. }
             | Event::Timer { node, .. }
             | Event::Control { node, .. } => Some(*node),
-            // `TxDone` syncs a link the executing node owns; lifecycle and
-            // churn events are replicated rather than routed.
-            Event::TxDone { .. }
-            | Event::FlowStart { .. }
+            // Lifecycle and churn events are replicated rather than routed.
+            Event::FlowStart { .. }
             | Event::FlowStop { .. }
             | Event::ChurnArrival
             | Event::ChurnRetire { .. } => None,
@@ -399,16 +368,7 @@ impl Network {
     /// event scheduled at or before it. Can be called repeatedly with
     /// increasing horizons.
     pub fn run_until(&mut self, end: SimTime) {
-        self.start_if_needed();
-        while let Some((time, key, event)) = self.queue.pop_keyed_at_or_before(end) {
-            debug_assert!(time >= self.now, "event queue went backwards");
-            self.now = time;
-            self.current_key = key;
-            if let Some(cursor) = &self.cursor {
-                cursor.set((time, key));
-            }
-            self.dispatch(event);
-        }
+        self.run_through(end);
         // Advance to the horizon, but never rewind: a caller passing an
         // `end` earlier than the current time must not move the clock (and
         // with it the measurement windows) backwards.
@@ -422,11 +382,16 @@ impl Network {
     /// events at exactly `boundary` may still arrive from peer shards at
     /// the next barrier exchange.
     pub(crate) fn run_before(&mut self, boundary: SimTime) {
+        match boundary.as_nanos().checked_sub(1) {
+            Some(last) => self.run_through(SimTime::from_nanos(last)),
+            None => self.start_if_needed(),
+        }
+    }
+
+    /// Delivers the `on_start` sweep if it has not run yet, then pops
+    /// and dispatches every event scheduled at or before `limit`.
+    fn run_through(&mut self, limit: SimTime) {
         self.start_if_needed();
-        let Some(limit) = boundary.as_nanos().checked_sub(1) else {
-            return;
-        };
-        let limit = SimTime::from_nanos(limit);
         while let Some((time, key, event)) = self.queue.pop_keyed_at_or_before(limit) {
             debug_assert!(time >= self.now, "event queue went backwards");
             self.now = time;
@@ -454,7 +419,6 @@ impl Network {
     /// counted by the lead shard.
     fn counts(&self, event: &Event) -> bool {
         match event {
-            Event::TxDone { .. } => false,
             Event::Arrive { .. } | Event::Timer { .. } | Event::Control { .. } => true,
             Event::FlowStart { flow } | Event::FlowStop { flow } | Event::ChurnRetire { flow } => {
                 self.owns(self.flows[flow.index()].ingress())
@@ -469,10 +433,6 @@ impl Network {
         }
         match event {
             Event::Arrive { node, packet } => self.handle_arrive(node, packet),
-            // A checkpoint: retire the link's departures up to now. The
-            // train path does the same lazily, so this changes nothing
-            // observable — it only restores per-packet event granularity.
-            Event::TxDone { link } => self.links[link.index()].sync(self.now),
             Event::Timer { node, timer } => {
                 if let Some(until) = self.pause_end(node) {
                     // Defer to the pause's end so self-rescheduling timer
@@ -488,11 +448,7 @@ impl Network {
                 self.with_logic(node, |logic, ctx| logic.on_timer(ctx, timer));
             }
             Event::Control { node, msg } => {
-                let (flow, is_feedback) = match msg {
-                    ControlMsg::MarkerFeedback { marker, .. } => (marker.flow, true),
-                    ControlMsg::Loss { flow, .. } => (flow, false),
-                    ControlMsg::Ack { flow, .. } => (flow, false),
-                };
+                let flow = msg.flow();
                 // A control message that outlived its flow's slot (the
                 // slot was recycled to a new generation) must not be
                 // delivered as if it concerned the new occupant.
@@ -512,32 +468,16 @@ impl Network {
                 self.trace(TraceEvent::Control {
                     node,
                     flow,
-                    is_feedback,
+                    is_feedback: matches!(msg, ControlMsg::MarkerFeedback { .. }),
                 });
                 self.with_logic(node, |logic, ctx| logic.on_control(ctx, msg));
             }
             Event::FlowStart { flow } => {
-                // Replicated on every shard: the slot bookkeeping below
-                // must advance everywhere, while staleness accounting,
-                // traces, and the logic callback belong to the counting
-                // shard (the ingress owner) alone.
-                let counting = self.counts(&Event::FlowStart { flow });
-                if self.flows[flow.index()].id != flow {
-                    self.stale_events += u64::from(counting);
+                let Some((counting, ingress)) =
+                    self.lifecycle_prelude(flow, Event::FlowStart { flow })
+                else {
                     return;
-                }
-                let ingress = self.flows[flow.index()].ingress();
-                if let Some(until) = self.pause_end(ingress) {
-                    if counting {
-                        self.trace(TraceEvent::Fault {
-                            kind: FaultKind::RouterPaused,
-                            node: ingress,
-                            flow: Some(flow),
-                        });
-                    }
-                    self.push_event(until, SITE_GLOBAL, Event::FlowStart { flow });
-                    return;
-                }
+                };
                 // A start that slid (via pause deferral) outside its
                 // activation window is stale: the flow is not scheduled
                 // to run now, so starting it would contradict the
@@ -566,23 +506,11 @@ impl Network {
                 }
             }
             Event::FlowStop { flow } => {
-                let counting = self.counts(&Event::FlowStop { flow });
-                if self.flows[flow.index()].id != flow {
-                    self.stale_events += u64::from(counting);
+                let Some((counting, ingress)) =
+                    self.lifecycle_prelude(flow, Event::FlowStop { flow })
+                else {
                     return;
-                }
-                let ingress = self.flows[flow.index()].ingress();
-                if let Some(until) = self.pause_end(ingress) {
-                    if counting {
-                        self.trace(TraceEvent::Fault {
-                            kind: FaultKind::RouterPaused,
-                            node: ingress,
-                            flow: Some(flow),
-                        });
-                    }
-                    self.push_event(until, SITE_GLOBAL, Event::FlowStop { flow });
-                    return;
-                }
+                };
                 // A deferred stop landing inside a *later* activation
                 // window is stale: delivering it would kill the new
                 // activation (the stop's own window already ended, or it
@@ -609,6 +537,35 @@ impl Network {
             Event::ChurnArrival => self.handle_churn_arrival(),
             Event::ChurnRetire { flow } => self.handle_churn_retire(flow),
         }
+    }
+
+    /// The prelude shared by `flow`'s lifecycle events (`event` is its
+    /// `FlowStart` or `FlowStop`). Replicated on every shard: the slot
+    /// bookkeeping must advance everywhere, while staleness accounting,
+    /// traces, and the logic callback belong to the counting shard (the
+    /// ingress owner) alone. Returns whether this instance counts the
+    /// event, and the flow's ingress; `None` when the event addressed a
+    /// recycled slot's previous occupant, or was deferred to the end of
+    /// an ingress pause.
+    fn lifecycle_prelude(&mut self, flow: FlowId, event: Event) -> Option<(bool, NodeId)> {
+        let counting = self.counts(&event);
+        if self.flows[flow.index()].id != flow {
+            self.stale_events += u64::from(counting);
+            return None;
+        }
+        let ingress = self.flows[flow.index()].ingress();
+        if let Some(until) = self.pause_end(ingress) {
+            if counting {
+                self.trace(TraceEvent::Fault {
+                    kind: FaultKind::RouterPaused,
+                    node: ingress,
+                    flow: Some(flow),
+                });
+            }
+            self.push_event(until, SITE_GLOBAL, event);
+            return None;
+        }
+        Some((counting, ingress))
     }
 
     /// Creates the next churn flow: draws its route, weight and size,
@@ -844,8 +801,8 @@ impl Network {
                 }
                 // The whole transmission is resolved at enqueue: `offer`
                 // computes the FIFO departure time, so the delivery event
-                // can be scheduled immediately and no per-packet TxDone
-                // is needed (a burst becomes one train of Arrives).
+                // can be scheduled immediately (a burst becomes one train
+                // of Arrives).
                 let accepted = {
                     let l = &mut self.links[link.index()];
                     assert_eq!(
@@ -864,9 +821,6 @@ impl Network {
                             flow: packet.flow,
                             queue_len,
                         });
-                        if self.dispatch == DispatchMode::PerPacket {
-                            self.push_event(dep, node_site(node), Event::TxDone { link });
-                        }
                         self.push_event(
                             dep + prop,
                             node_site(node),
@@ -900,11 +854,7 @@ impl Network {
     /// a shard executing `from` reproduces the serial draw sequence
     /// without seeing any other node's sends.
     fn push_control(&mut self, from: NodeId, to: NodeId, delay: SimDuration, msg: ControlMsg) {
-        let flow = match msg {
-            ControlMsg::MarkerFeedback { marker, .. } => marker.flow,
-            ControlMsg::Loss { flow, .. } => flow,
-            ControlMsg::Ack { flow, .. } => flow,
-        };
+        let flow = msg.flow();
         // Decide first, trace after: the fault state needs `&mut self`
         // while tracing borrows `&self`.
         let (lost, extra) = match self.faults.as_mut() {
@@ -1028,9 +978,9 @@ impl Network {
         for l in &mut self.links {
             l.sync(end);
         }
-        // Logical events plus one serialization per forwarded packet:
-        // identical across dispatch modes, and numerically equal to the
-        // popped-event count of the per-TxDone engine.
+        // Logical events plus one serialization per forwarded packet: the
+        // count an engine with one transmission-complete event per packet
+        // would pop.
         let events_processed =
             self.logical_events + self.links.iter().map(Link::forwarded_packets).sum::<u64>();
         let flows = self

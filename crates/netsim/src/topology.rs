@@ -9,7 +9,7 @@ use crate::flow::{FlowInfo, FlowSpec};
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::link::{Link, LinkSpec};
 use crate::logic::RouterLogic;
-use crate::network::{DispatchMode, ExecRole, Network, ShardView};
+use crate::network::{ExecRole, Network, ShardView};
 use crate::trace::Observer;
 
 use std::cell::RefCell;
@@ -46,7 +46,6 @@ pub struct TopologyBuilder {
     faults: FaultPlan,
     churn: Option<ChurnSpec>,
     queue_backend: QueueBackend,
-    dispatch: DispatchMode,
     shard_view: Option<ShardView>,
 }
 
@@ -66,7 +65,6 @@ impl TopologyBuilder {
             faults: FaultPlan::default(),
             churn: None,
             queue_backend: QueueBackend::Wheel,
-            dispatch: DispatchMode::Train,
             shard_view: None,
         }
     }
@@ -187,14 +185,6 @@ impl TopologyBuilder {
         self
     }
 
-    /// Selects the link dispatch mode (default: train batching). The
-    /// per-packet mode is kept for differential testing; both modes
-    /// produce byte-identical simulation results.
-    pub fn dispatch_mode(&mut self, mode: DispatchMode) -> &mut Self {
-        self.dispatch = mode;
-        self
-    }
-
     /// Installs a dynamic flow-churn process (see [`crate::churn`]): the
     /// built network creates and retires flows at runtime, recycling
     /// flow-table slots under generation-counted ids. The churn routes
@@ -234,7 +224,6 @@ impl TopologyBuilder {
             faults,
             churn,
             queue_backend,
-            dispatch,
             shard_view,
         } = self;
         let faults = if faults.is_empty() {
@@ -373,7 +362,6 @@ impl TopologyBuilder {
             faults,
             churn,
             queue_backend,
-            dispatch,
             match shard_view {
                 Some(view) => ExecRole::Shard(view),
                 None => ExecRole::Whole,

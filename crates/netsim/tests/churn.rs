@@ -10,7 +10,7 @@ use netsim::flow::FlowSpec;
 use netsim::link::LinkSpec;
 use netsim::logic::{CbrSource, Ctx, ForwardLogic, RouterLogic};
 use netsim::topology::TopologyBuilder;
-use netsim::{ChurnSpec, DispatchMode, FlowId};
+use netsim::{ChurnSpec, FlowId};
 use sim_core::event::QueueBackend;
 use sim_core::time::{SimDuration, SimTime};
 
@@ -19,14 +19,9 @@ fn fast() -> LinkSpec {
 }
 
 /// ingress --5ms--> egress with a CBR emitter at the ingress.
-fn churn_net(
-    spec_rate: f64,
-    backend: QueueBackend,
-    dispatch: DispatchMode,
-) -> (netsim::Network, SimTime) {
+fn churn_net(spec_rate: f64, backend: QueueBackend) -> (netsim::Network, SimTime) {
     let mut b = TopologyBuilder::new(42);
     b.queue_backend(backend);
-    b.dispatch_mode(dispatch);
     let e = b.node("ingress", |_| Box::new(CbrSource::new(200.0)));
     let x = b.node("egress", |_| Box::new(ForwardLogic));
     b.link(e, x, fast());
@@ -42,7 +37,7 @@ fn churn_net(
 
 #[test]
 fn churn_creates_completes_and_retires_flows() {
-    let (mut net, end) = churn_net(20.0, QueueBackend::Wheel, DispatchMode::Train);
+    let (mut net, end) = churn_net(20.0, QueueBackend::Wheel);
     net.run_until(end);
     let report = net.into_report(end);
     let churn = report.churn.as_ref().expect("churn report present");
@@ -75,7 +70,7 @@ fn churn_creates_completes_and_retires_flows() {
 
 #[test]
 fn recycled_slots_bound_the_flow_table() {
-    let (mut net, end) = churn_net(40.0, QueueBackend::Wheel, DispatchMode::Train);
+    let (mut net, end) = churn_net(40.0, QueueBackend::Wheel);
     net.run_until(end);
     let report = net.into_report(end);
     let churn = report.churn.as_ref().expect("churn report present");
@@ -134,26 +129,17 @@ fn million_flow_churn_keeps_resident_state_o_active() {
 
 #[test]
 fn churn_runs_are_byte_identical_across_backends_and_repeats() {
-    let render = |backend, dispatch| {
-        let (mut net, end) = churn_net(20.0, backend, dispatch);
+    let render = |backend| {
+        let (mut net, end) = churn_net(20.0, backend);
         net.run_until(end);
         format!("{:?}", net.into_report(end))
     };
-    let baseline = render(QueueBackend::Wheel, DispatchMode::Train);
+    let baseline = render(QueueBackend::Wheel);
+    assert_eq!(baseline, render(QueueBackend::Wheel), "repeat run diverged");
     assert_eq!(
         baseline,
-        render(QueueBackend::Wheel, DispatchMode::Train),
-        "repeat run diverged"
-    );
-    assert_eq!(
-        baseline,
-        render(QueueBackend::Heap, DispatchMode::Train),
+        render(QueueBackend::Heap),
         "heap backend diverged"
-    );
-    assert_eq!(
-        baseline,
-        render(QueueBackend::Wheel, DispatchMode::PerPacket),
-        "per-packet dispatch diverged"
     );
 }
 

@@ -3,7 +3,7 @@
 //! and for the slab state plane (`DenseMap` against a `BTreeMap`
 //! model).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use netsim::ids::{FlowId, NodeId};
 use netsim::link::{Link, LinkSpec};
@@ -84,21 +84,50 @@ fn tx_time_scales() {
 
 /// Lazy and eager sync schedules produce identical statistics: the
 /// departure train carries its own timestamps, so when accounting runs
-/// cannot matter.
+/// cannot matter. The eager link is synced at every departure instant
+/// `offer` returned (one checkpoint per transmitted packet), the lazy
+/// one only by `offer` itself; both close their queue-average window at
+/// the same random epoch instants, as a core router's epoch timer does.
 #[test]
 fn sync_schedule_is_unobservable() {
     check::cases(64, 0x4E_04, |g| {
         let capacity = g.usize_in(1, 20);
-        let ops = g.vec_with(1, 200, |g| (g.u64_in(1, 5_000), g.u64_in(100, 2000) as u32));
+        let ops = g.vec_with(1, 200, |g| {
+            let epoch = g.u64_in(0, 7) == 0;
+            (g.u64_in(1, 5_000), g.u64_in(100, 2000) as u32, epoch)
+        });
         let mut eager = Link::new(NodeId::from_index(0), NodeId::from_index(1), spec(capacity));
         let mut lazy = Link::new(NodeId::from_index(0), NodeId::from_index(1), spec(capacity));
+        let mut departures = VecDeque::new();
         let mut now = SimTime::ZERO;
-        for (gap, size) in ops {
+        let sync_eager_to = |eager: &mut Link, departures: &mut VecDeque<SimTime>, t| {
+            while let Some(&dep) = departures.front().filter(|&&dep| dep <= t) {
+                eager.sync(dep);
+                departures.pop_front();
+            }
+        };
+        for (gap, size, epoch) in ops {
             now += SimDuration::from_micros(gap);
-            assert_eq!(eager.offer(now, size), lazy.offer(now, size));
-            eager.sync(now);
+            sync_eager_to(&mut eager, &mut departures, now);
+            if epoch {
+                assert_eq!(
+                    eager.take_queue_average(now),
+                    lazy.take_queue_average(now),
+                    "epoch queue average depends on sync schedule"
+                );
+            }
+            let dep = eager.offer(now, size);
+            assert_eq!(dep, lazy.offer(now, size));
+            departures.extend(dep);
+            assert_eq!(eager.queue_len(now), lazy.queue_len(now));
+            assert_eq!(eager.forwarded_packets(), lazy.forwarded_packets());
+            assert_eq!(eager.forwarded_bytes(), lazy.forwarded_bytes());
+            assert_eq!(eager.dropped_packets(), lazy.dropped_packets());
+            assert_eq!(eager.peak_occupancy(), lazy.peak_occupancy());
         }
         let end = now + SimDuration::from_secs(1);
+        sync_eager_to(&mut eager, &mut departures, end);
+        assert!(departures.is_empty());
         assert_eq!(eager.queue_len(end), lazy.queue_len(end));
         assert_eq!(
             eager.take_queue_average(end),

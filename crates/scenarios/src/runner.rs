@@ -7,7 +7,7 @@ use std::rc::Rc;
 use fairness::maxmin::MaxMinProblem;
 use netsim::flow::FlowSpec;
 use netsim::topology::TopologyBuilder;
-use netsim::{DispatchMode, FlowId, Observer, SimReport, Transport};
+use netsim::{FlowId, Observer, SimReport, Transport};
 use sim_core::event::QueueBackend;
 use sim_core::stats::TimeSeries;
 use sim_core::time::SimTime;
@@ -178,11 +178,6 @@ pub struct Scenario {
     /// byte-identical across backends; the heap is kept for differential
     /// testing of the engine.
     pub backend: QueueBackend,
-    /// Transmission-dispatch mode (default: train batching). Results are
-    /// byte-identical across modes; `PerPacket` re-enacts the
-    /// one-TxDone-per-packet schedule for the batched-vs-unbatched
-    /// differential oracles.
-    pub dispatch: DispatchMode,
 }
 
 impl Scenario {
@@ -214,7 +209,6 @@ impl Scenario {
             churn: None,
             shards: 1,
             backend: QueueBackend::Wheel,
-            dispatch: DispatchMode::Train,
         }
     }
 
@@ -464,7 +458,6 @@ impl Scenario {
         let link = self.topology.link;
         let mut b = TopologyBuilder::new(self.seed);
         b.queue_backend(self.backend);
-        b.dispatch_mode(self.dispatch);
         // The shared core network.
         let cores: Vec<_> = (0..self.topology.core_count)
             .map(|i| b.node(&format!("C{}", i + 1), |s| discipline.core_logic(s)))

@@ -140,8 +140,7 @@ fn fct_recorded_on_departure() {
 }
 
 /// The churn sweep is byte-identical across the serial and parallel
-/// executors, and churn runs are byte-identical across queue backends
-/// and dispatch modes.
+/// executors, and churn runs are byte-identical across queue backends.
 #[test]
 fn churn_results_are_byte_identical_across_executors_and_backends() {
     let registry = vec![by_name("corelite").unwrap(), by_name("csfq").unwrap()];
@@ -164,10 +163,4 @@ fn churn_results_are_byte_identical_across_executors_and_backends() {
         render_queue(QueueBackend::Heap),
         "heap backend diverged"
     );
-    let per_packet = Scenario {
-        dispatch: netsim::DispatchMode::PerPacket,
-        ..churn_scenario(5)
-    };
-    let per_packet = format!("{:?}", per_packet.run(corelite.as_ref()).report);
-    assert_eq!(wheel, per_packet, "per-packet dispatch diverged");
 }

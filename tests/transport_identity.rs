@@ -2,13 +2,13 @@
 //! the mixed LIMD/GBN/Reno workloads must produce the same
 //! `format!("{:?}", report)` bytes under every engine configuration —
 //! serial vs the sharded executor at 1, 2 and 4 shards, the wheel vs
-//! the heap event queue, and transmission trains vs per-packet
-//! dispatch. Ack-clocked senders add reverse-path control traffic,
+//! the heap event queue, and the serial vs the parallel sweep executor.
+//! Ack-clocked senders add reverse-path control traffic,
 //! RTO/tick timer chains and receiver-side state to the event stream;
 //! none of it may observe the engine mode.
 
 use corelite::CoreliteConfig;
-use netsim::{DispatchMode, Transport};
+use netsim::Transport;
 use scenarios::discipline::Corelite;
 use scenarios::exec::{run_parallel, run_serial};
 use scenarios::runner::Scenario;
@@ -63,26 +63,6 @@ fn transport_scenarios_are_byte_identical_across_queue_backends() {
         };
         let (wheel, heap) = (on(QueueBackend::Wheel), on(QueueBackend::Heap));
         assert_eq!(wheel, heap, "{} diverged across backends", scenario.name);
-    }
-}
-
-#[test]
-fn transport_scenarios_are_byte_identical_across_dispatch_modes() {
-    let corelite = Corelite::new(CoreliteConfig::default());
-    for scenario in scenarios() {
-        let under = |dispatch| {
-            let scenario = Scenario {
-                dispatch,
-                ..scenario.clone()
-            };
-            format!("{:?}", scenario.run(&corelite).report)
-        };
-        let (train, per_packet) = (under(DispatchMode::Train), under(DispatchMode::PerPacket));
-        assert_eq!(
-            train, per_packet,
-            "dispatch modes diverged on {}",
-            scenario.name
-        );
     }
 }
 
